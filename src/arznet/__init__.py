@@ -18,12 +18,14 @@ from .fundamental import (
     supply,
 )
 from .junction import (
+    JunctionFluxes,
     JunctionKind,
     JunctionSolution,
     JunctionSpec,
     MergeGeometry,
     check_admissibility,
     check_consistency,
+    junction_fluxes,
     merge_geometry,
     modified_density,
     sigma_tilde,
@@ -45,12 +47,14 @@ __all__ = [
     "pressure_inv",
     "sonic_point",
     "supply",
+    "JunctionFluxes",
     "JunctionKind",
     "JunctionSolution",
     "JunctionSpec",
     "MergeGeometry",
     "check_admissibility",
     "check_consistency",
+    "junction_fluxes",
     "merge_geometry",
     "modified_density",
     "sigma_tilde",

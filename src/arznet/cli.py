@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 scenario/argument errors, 3 numerical solver failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -20,11 +19,6 @@ from .scenario import ScenarioError
 EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_NUMERIC = 3
-
-
-def _threads_hint() -> int | None:
-    val = os.environ.get("ARZNET_THREADS")
-    return int(val) if val else None
 
 
 def _load_single_junction(path):
@@ -143,7 +137,7 @@ def cmd_pareto_dump(args) -> int:
     in2 = (spec.incoming[1], states[1])
     out3 = (spec.outgoing[0], states[2])
     ctx = oracle.MergeContext(in1, in2, out3)
-    sample = oracle.sample_pareto(ctx, n=n, threads=_threads_hint())
+    sample = oracle.sample_pareto(ctx, n=n)
 
     sol = jn.solve(spec, states)
     geom = jn.merge_geometry(in1, in2, out3)

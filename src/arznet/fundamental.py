@@ -50,14 +50,35 @@ class TrafficState:
 
 
 def _check_nonneg(x, name):
-    if np.any(np.asarray(x) < 0):
+    # a plain comparison for scalars: a numpy reduction costs more than the formulas it guards
+    if (x < 0) if isinstance(x, (int, float)) else np.any(np.asarray(x) < 0):
         raise ValueError(f"{name} must be non-negative, got {x}")
+
+
+# The public functions below check their arguments once; the unchecked kernels
+# they share serve callers whose inputs are non-negative by construction.
+
+def _pressure(p: RoadParams, rho):
+    return (p.v_ref / p.gamma) * (np.asarray(rho) / p.rho_max) ** p.gamma
+
+
+def _sonic_point(p: RoadParams, c):
+    return p.rho_max * (np.asarray(c) * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (
+        1.0 / p.gamma
+    )
+
+
+def _capacity(p: RoadParams, c):
+    # the sonic point first: on arrays, fewer temporaries are alive at once
+    sigma = _sonic_point(p, c)
+    # p(sigma(c)) = c / (1 + gamma) for the power-law pressure
+    return (np.asarray(c) * p.gamma / (1.0 + p.gamma)) * sigma
 
 
 def pressure(p: RoadParams, rho):
     """Pressure p(rho) = (v_ref/gamma) * (rho/rho_max)^gamma."""
     _check_nonneg(rho, "rho")
-    return (p.v_ref / p.gamma) * (np.asarray(rho) / p.rho_max) ** p.gamma
+    return _pressure(p, rho)
 
 
 def pressure_inv(p: RoadParams, val):
@@ -69,16 +90,13 @@ def pressure_inv(p: RoadParams, val):
 def sonic_point(p: RoadParams, c):
     """Density maximizing the flux (c - p(rho)) * rho along {w = c}."""
     _check_nonneg(c, "attribute")
-    return p.rho_max * (np.asarray(c) * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (
-        1.0 / p.gamma
-    )
+    return _sonic_point(p, c)
 
 
 def capacity(p: RoadParams, c):
     """Maximal flux along {w = c}, attained at the sonic density."""
-    sigma = sonic_point(p, c)
-    # p(sigma(c)) = c / (1 + gamma) for the power-law pressure
-    return (np.asarray(c) * p.gamma / (1.0 + p.gamma)) * sigma
+    _check_nonneg(c, "attribute")
+    return _capacity(p, c)
 
 
 def demand(p: RoadParams, rho, c):
@@ -86,9 +104,9 @@ def demand(p: RoadParams, rho, c):
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
     rho = np.asarray(rho, dtype=float)
-    sigma = sonic_point(p, c)
-    free = (np.asarray(c) - pressure(p, rho)) * rho
-    return np.maximum(np.where(rho <= sigma, free, capacity(p, c)), 0.0)
+    sigma = _sonic_point(p, c)
+    free = (np.asarray(c) - _pressure(p, rho)) * rho
+    return np.maximum(np.where(rho <= sigma, free, _capacity(p, c)), 0.0)
 
 
 def supply(p: RoadParams, rho, c):
@@ -96,16 +114,16 @@ def supply(p: RoadParams, rho, c):
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
     rho = np.asarray(rho, dtype=float)
-    sigma = sonic_point(p, c)
-    congested = (np.asarray(c) - pressure(p, rho)) * rho
+    sigma = _sonic_point(p, c)
+    congested = (np.asarray(c) - _pressure(p, rho)) * rho
     # densities beyond the zero-speed point can accept nothing, not a negative flux
-    return np.maximum(np.where(rho <= sigma, capacity(p, c), congested), 0.0)
+    return np.maximum(np.where(rho <= sigma, _capacity(p, c), congested), 0.0)
 
 
 def eigenvalues(p: RoadParams, s: TrafficState):
     """Characteristic speeds (lambda_1, lambda_2) = (v - rho p'(rho), v)."""
     # rho * p'(rho) = gamma * p(rho) for the power-law pressure
-    lam1 = s.v - p.gamma * float(pressure(p, s.rho))
+    lam1 = s.v - p.gamma * float(_pressure(p, s.rho))
     return lam1, s.v
 
 
@@ -116,7 +134,7 @@ def lambda1(p: RoadParams, rho, c):
 
 def attribute(p: RoadParams, s: TrafficState) -> float:
     """Lagrangian attribute w = v + p(rho) of a state."""
-    return s.v + float(pressure(p, s.rho))
+    return s.v + float(_pressure(p, s.rho))
 
 
 def to_conservative(p: RoadParams, s: TrafficState) -> tuple[float, float]:
@@ -128,7 +146,7 @@ def from_conservative(p: RoadParams, rho: float, y: float) -> TrafficState:
     """Primitive state from the conservative pair; vacuum reports v = v_ref."""
     if rho < VACUUM_RHO:
         return TrafficState(rho=max(rho, 0.0), v=p.v_ref)
-    v = y / rho - float(pressure(p, rho))
+    v = y / rho - float(_pressure(p, rho))
     return TrafficState(rho=rho, v=max(v, 0.0))
 
 

@@ -90,22 +90,37 @@ class JunctionSpec:
 
 
 @dataclass(frozen=True)
-class JunctionSolution:
-    """Fluxes, mixed attributes and admissible boundary states at a junction."""
+class JunctionFluxes:
+    """Fluxes and mixed attributes at a junction: all that the Godunov update needs."""
 
     q_in: tuple[float, ...]
     q_out: tuple[float, ...]
     w_in: tuple[float, ...]   # attribute advected out of each incoming road
     w_out: tuple[float, ...]  # mixed attribute entering each outgoing road
-    boundary_in: tuple[TrafficState, ...]
-    boundary_out: tuple[TrafficState, ...]
     ratio: float | None = None  # realized flux ratio q_1/(q_1+q_2), merge only
     case: str | None = None     # merge case tag, diagnostic only
+
+
+@dataclass(frozen=True, kw_only=True)
+class JunctionSolution(JunctionFluxes):
+    """Junction fluxes plus the admissible boundary states (traces) they induce."""
+
+    boundary_in: tuple[TrafficState, ...]
+    boundary_out: tuple[TrafficState, ...]
 
 
 # ---------------------------------------------------------------------------
 # Boundary-state reconstruction
 # ---------------------------------------------------------------------------
+
+def _check_capacity(p: RoadParams, w: float, q: float) -> float:
+    """Capacity along {w = const}; raises InfeasibleFlux when ``q`` exceeds it beyond noise."""
+    cap = float(fd.capacity(p, w))
+    # small relative slack: iterative flux solves may overshoot capacity by noise
+    if q > cap + 1e-6 * max(1.0, cap, q):
+        raise InfeasibleFlux(f"flux {q} exceeds capacity {cap} along w={w}")
+    return cap
+
 
 def reconstruct_boundary_state(
     p: RoadParams,
@@ -123,10 +138,7 @@ def reconstruct_boundary_state(
     """
     if side not in ("incoming", "outgoing"):
         raise ValueError(f"side must be 'incoming' or 'outgoing', got {side!r}")
-    cap = float(fd.capacity(p, w))
-    # small relative slack: iterative flux solves may overshoot capacity by noise
-    if q > cap + 1e-6 * max(1.0, cap, q):
-        raise InfeasibleFlux(f"flux {q} exceeds capacity {cap} along w={w}")
+    cap = _check_capacity(p, w, q)
     # resolve the trace density well below the flux tolerances used downstream
     tol = 1e-13 * max(1.0, cap)
     q = min(q, cap)
@@ -155,12 +167,32 @@ def reconstruct_boundary_state(
     return TrafficState(rho=rho, v=v)
 
 
+def _with_traces(
+    fl: JunctionFluxes,
+    incoming: Sequence[Branch],
+    outgoing: Sequence[Branch],
+    demands: Sequence[float],
+    supplies: Sequence[float],
+) -> JunctionSolution:
+    """Add the boundary traces to junction fluxes; a bound is active where the flux meets it."""
+    tol = flux_tol(max(*demands, *supplies))
+    b_in = tuple(
+        reconstruct_boundary_state(p, w, q, "incoming", s, abs(q - d) <= tol)
+        for (p, s), q, w, d in zip(incoming, fl.q_in, fl.w_in, demands)
+    )
+    b_out = tuple(
+        reconstruct_boundary_state(p, w, q, "outgoing", s, abs(q - sup) <= tol)
+        for (p, s), q, w, sup in zip(outgoing, fl.q_out, fl.w_out, supplies)
+    )
+    return JunctionSolution(**vars(fl), boundary_in=b_in, boundary_out=b_out)
+
+
 # ---------------------------------------------------------------------------
 # Junctions with a single incoming road
 # ---------------------------------------------------------------------------
 
-def solve_one_to_one(incoming: Branch, outgoing: Branch) -> JunctionSolution:
-    """Flux-maximizing coupling across a spatial discontinuity (1-to-1 junction)."""
+def _one_to_one(incoming: Branch, outgoing: Branch):
+    """1-to-1 fluxes, with the incoming demand and the outgoing supply."""
     p1, s1 = incoming
     p2, s2 = outgoing
     w1 = fd.attribute(p1, s1)
@@ -168,13 +200,29 @@ def solve_one_to_one(incoming: Branch, outgoing: Branch) -> JunctionSolution:
     rho2_t = float(modified_density(p2, w1, s2.v))
     s2_sup = float(fd.supply(p2, rho2_t, w1))
     q = min(d1, s2_sup)
-    tol = flux_tol(max(d1, s2_sup))
-    b1 = reconstruct_boundary_state(p1, w1, q, "incoming", s1, abs(q - d1) <= tol)
-    b2 = reconstruct_boundary_state(p2, w1, q, "outgoing", s2, abs(q - s2_sup) <= tol)
-    return JunctionSolution(
-        q_in=(q,), q_out=(q,), w_in=(w1,), w_out=(w1,),
-        boundary_in=(b1,), boundary_out=(b2,),
-    )
+    return JunctionFluxes(q_in=(q,), q_out=(q,), w_in=(w1,), w_out=(w1,)), (d1,), (s2_sup,)
+
+
+def _diverge(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]):
+    """Diverge fluxes, with the incoming demand and the outgoing supplies."""
+    p1, s1 = incoming
+    w1 = fd.attribute(p1, s1)
+    d1 = float(fd.demand(p1, s1.rho, w1))
+    supplies = []
+    for (pj, sj) in outgoings:
+        rho_t = float(modified_density(pj, w1, sj.v))
+        supplies.append(float(fd.supply(pj, rho_t, w1)))
+    q1 = min(d1, min(s / a for s, a in zip(supplies, alphas)))
+    q_out = tuple(a * q1 for a in alphas)
+    q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
+    fl = JunctionFluxes(q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out))
+    return fl, (d1,), supplies
+
+
+def solve_one_to_one(incoming: Branch, outgoing: Branch) -> JunctionSolution:
+    """Flux-maximizing coupling across a spatial discontinuity (1-to-1 junction)."""
+    fl, demands, supplies = _one_to_one(incoming, outgoing)
+    return _with_traces(fl, (incoming,), (outgoing,), demands, supplies)
 
 
 def solve_diverge(
@@ -187,26 +235,8 @@ def solve_diverge(
         raise ValueError(
             f"degenerate assignment rate in {tuple(alphas)}: collapse to a 1-to-1 junction"
         )
-    p1, s1 = incoming
-    w1 = fd.attribute(p1, s1)
-    d1 = float(fd.demand(p1, s1.rho, w1))
-    supplies = []
-    for (pj, sj) in outgoings:
-        rho_t = float(modified_density(pj, w1, sj.v))
-        supplies.append(float(fd.supply(pj, rho_t, w1)))
-    q1 = min(d1, min(s / a for s, a in zip(supplies, alphas)))
-    q_out = tuple(a * q1 for a in alphas)
-    q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
-    tol = flux_tol(max(d1, *supplies))
-    b1 = reconstruct_boundary_state(p1, w1, q1, "incoming", s1, abs(q1 - d1) <= tol)
-    b_out = tuple(
-        reconstruct_boundary_state(pj, w1, qj, "outgoing", sj, abs(qj - sup) <= tol)
-        for (pj, sj), qj, sup in zip(outgoings, q_out, supplies)
-    )
-    return JunctionSolution(
-        q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out),
-        boundary_in=(b1,), boundary_out=b_out,
-    )
+    fl, demands, supplies = _diverge(incoming, outgoings, alphas)
+    return _with_traces(fl, (incoming,), outgoings, demands, supplies)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +426,7 @@ def fixed_point_ratio(
 
 def _solve_merge_core(
     in1: Branch, in2: Branch, out: Branch, priority: float
-) -> tuple[float, float, str, MergeGeometry]:
+) -> tuple[float, float, float, float, str]:
     """Two-step merge construction for a non-positive attribute gap (w1 <= w2)."""
     p1, s1 = in1
     p2, s2 = in2
@@ -441,65 +471,78 @@ def _solve_merge_core(
             geom, case, delta1, delta2, q1_tilde, q2_tilde, q1_star, q2_star
         )
 
-    return q1, q2, case, geom
+    return q1, q2, delta1, delta2, case
+
+
+def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
+    """Merge fluxes, with the two incoming demands."""
+    w1 = fd.attribute(*in1)
+    w2 = fd.attribute(*in2)
+    if not attribute_gap_is_zero(w1, w2) and w1 > w2:
+        # mirrored construction: swap the incoming roads and the priority
+        q2, q1, delta2, delta1, case = _solve_merge_core(in2, in1, out, 1.0 - priority)
+        case += "'"
+    else:
+        q1, q2, delta1, delta2, case = _solve_merge_core(in1, in2, out, priority)
+
+    q3 = q1 + q2
+    w_p = w2 + priority * (w1 - w2)
+    w_mix = (q1 * w1 + q2 * w2) / q3 if q3 > 0 else w_p
+    ratio = q1 / q3 if q3 > 0 else priority
+    fl = JunctionFluxes(
+        q_in=(q1, q2), q_out=(q3,), w_in=(w1, w2), w_out=(w_mix,), ratio=ratio, case=case,
+    )
+    return fl, (delta1, delta2)
 
 
 def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> JunctionSolution:
     """Pareto-optimal priority-based Riemann solver for a 2-to-1 merge."""
     if not 0.0 < priority < 1.0:
         raise ValueError(f"merge priority must lie in ]0,1[, got {priority}")
-    p1, s1 = in1
-    p2, s2 = in2
+    fl, demands = _merge(in1, in2, out, priority)
     p3, s3 = out
-    w1 = fd.attribute(p1, s1)
-    w2 = fd.attribute(p2, s2)
-
-    if not attribute_gap_is_zero(w1, w2) and w1 > w2:
-        # mirrored construction: swap the incoming roads and the priority
-        q2, q1, case, _ = _solve_merge_core(in2, in1, out, 1.0 - priority)
-        case += "'"
-        geom = merge_geometry(in1, in2, out)
-    else:
-        q1, q2, case, geom = _solve_merge_core(in1, in2, out, priority)
-
-    q3 = q1 + q2
-    w_p = w2 + priority * (w1 - w2)
-    w_mix = (q1 * w1 + q2 * w2) / q3 if q3 > 0 else w_p
-    ratio = q1 / q3 if q3 > 0 else priority
-
-    delta1 = float(fd.demand(p1, s1.rho, w1))
-    delta2 = float(fd.demand(p2, s2.rho, w2))
+    w_mix = fl.w_out[0]
     sigma3 = float(fd.supply(p3, modified_density(p3, w_mix, s3.v), w_mix))
-    tol = flux_tol(max(1.0, delta1, delta2, sigma3))
-    b1 = reconstruct_boundary_state(p1, w1, q1, "incoming", s1, abs(q1 - delta1) <= tol)
-    b2 = reconstruct_boundary_state(p2, w2, q2, "incoming", s2, abs(q2 - delta2) <= tol)
-    b3 = reconstruct_boundary_state(p3, w_mix, q3, "outgoing", s3, abs(q3 - sigma3) <= tol)
-
-    return JunctionSolution(
-        q_in=(q1, q2), q_out=(q3,), w_in=(w1, w2), w_out=(w_mix,),
-        boundary_in=(b1, b2), boundary_out=(b3,), ratio=ratio, case=case,
-    )
+    return _with_traces(fl, (in1, in2), (out,), demands, (sigma3,))
 
 
 # ---------------------------------------------------------------------------
-# Generic entry point
+# Generic entry points
 # ---------------------------------------------------------------------------
 
-def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolution:
-    """Apply the Riemann solver of ``spec`` to one state per branch (incoming first)."""
+def _branches(spec: JunctionSpec, states: Sequence[TrafficState]):
     n, m = len(spec.incoming), len(spec.outgoing)
     if len(states) != n + m:
         raise ValueError(f"expected {n + m} states, got {len(states)}")
-    inc = list(zip(spec.incoming, states[:n]))
-    out = list(zip(spec.outgoing, states[n:]))
-    if spec.kind is JunctionKind.ONE_TO_ONE:
+    return list(zip(spec.incoming, states[:n])), list(zip(spec.outgoing, states[n:]))
+
+
+def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionFluxes:
+    """Fluxes and mixed attributes of ``solve`` without the boundary traces.
+
+    Every branch flux is checked against the capacity along its attribute,
+    as the trace reconstruction of ``solve`` does; raises InfeasibleFlux.
+    """
+    inc, out = _branches(spec, states)
+    if spec.kind is JunctionKind.MERGE:
+        fl, _ = _merge(inc[0], inc[1], out[0], spec.priority)
+    elif len(out) == 1:  # a 1-to-1 junction, or a diverge collapsed to one
+        fl, _, _ = _one_to_one(inc[0], out[0])
+    else:
+        fl, _, _ = _diverge(inc[0], out, spec.alphas)
+    for (p, _), q, w in zip(inc + out, fl.q_in + fl.q_out, fl.w_in + fl.w_out):
+        _check_capacity(p, w, q)
+    return fl
+
+
+def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolution:
+    """Apply the Riemann solver of ``spec`` to one state per branch (incoming first)."""
+    inc, out = _branches(spec, states)
+    if spec.kind is JunctionKind.MERGE:
+        return solve_merge(inc[0], inc[1], out[0], spec.priority)
+    if len(out) == 1:  # a 1-to-1 junction, or a diverge collapsed to one
         return solve_one_to_one(inc[0], out[0])
-    if spec.kind is JunctionKind.DIVERGE:
-        if len(out) == 1:
-            # degenerate assignment: collapse to the 1-to-1 solver
-            return solve_one_to_one(inc[0], out[0])
-        return solve_diverge(inc[0], out, spec.alphas)
-    return solve_merge(inc[0], inc[1], out[0], spec.priority)
+    return solve_diverge(inc[0], out, spec.alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,26 +20,29 @@ from .junction import Branch, flux_tol, modified_density
 
 @dataclass(frozen=True)
 class MergeContext:
-    """Riemann data of a 2-to-1 merge, with the derived demand caps."""
+    """Riemann data of a 2-to-1 merge, with the derived attributes and demand caps.
+
+    The derived values are computed on first access and kept.
+    """
 
     in1: Branch
     in2: Branch
     out: Branch
 
-    @property
+    @cached_property
     def w1(self) -> float:
         return fd.attribute(*self.in1)
 
-    @property
+    @cached_property
     def w2(self) -> float:
         return fd.attribute(*self.in2)
 
-    @property
+    @cached_property
     def delta1(self) -> float:
         p, s = self.in1
         return float(fd.demand(p, s.rho, self.w1))
 
-    @property
+    @cached_property
     def delta2(self) -> float:
         p, s = self.in2
         return float(fd.demand(p, s.rho, self.w2))
@@ -88,12 +92,8 @@ class FeasibleSample:
         return np.column_stack([self.q1_axis[ii], self.q2_axis[jj]])
 
 
-def sample_pareto(ctx: MergeContext, n: int = 512, threads: int | None = None) -> FeasibleSample:
-    """n x n grid over [0, Delta1] x [0, Delta2] with dominance filtering.
-
-    ``threads`` is a parallelism hint only; evaluation is vectorized and the
-    result is deterministic regardless of its value.
-    """
+def sample_pareto(ctx: MergeContext, n: int = 512) -> FeasibleSample:
+    """n x n grid over [0, Delta1] x [0, Delta2] with dominance filtering."""
     if n < 100:
         raise ValueError(f"grid resolution must be at least 100, got {n}")
     d1, d2 = ctx.delta1, ctx.delta2

@@ -203,6 +203,25 @@ def _edge_fluxes(road: DiscretizedRoad, v: np.ndarray, w: np.ndarray):
     return fm, fy
 
 
+def _junction_edges(network: Network) -> dict[tuple[str, int], tuple[float, float, float]]:
+    """(mass flux, momentum flux, w) at each junction road end, keyed by (road id, edge index)."""
+    edges = {}
+    for nj in network.junctions:
+        states = [network.roads[rid].boundary_state("right") for rid in nj.in_ids]
+        states += [network.roads[rid].boundary_state("left") for rid in nj.out_ids]
+        fl = jn.junction_fluxes(nj.spec, states)
+        mom_in = [q * wv for q, wv in zip(fl.q_in, fl.w_in)]
+        for rid, q, mom, wv in zip(nj.in_ids, fl.q_in, mom_in, fl.w_in):
+            edges[rid, -1] = (q, mom, wv)
+        if len(nj.out_ids) == 1:
+            # hand the outgoing road the exact incoming totals
+            edges[nj.out_ids[0], 0] = (math.fsum(fl.q_in), math.fsum(mom_in), fl.w_out[0])
+        else:
+            for rid, q, wv in zip(nj.out_ids, fl.q_out, fl.w_out):
+                edges[rid, 0] = (q, q * wv, wv)
+    return edges
+
+
 def step(network: Network, dt: float) -> dict[str, tuple[float, float]]:
     """Advance every road by one conservative update of size ``dt``.
 
@@ -230,26 +249,10 @@ def step(network: Network, dt: float) -> dict[str, tuple[float, float]]:
         edge[rid] = (fm, fy)
 
     junction_fluxes: dict[str, tuple[float, float]] = {}
-    for nj in network.junctions:
-        states = [network.roads[rid].boundary_state("right") for rid in nj.in_ids]
-        states += [network.roads[rid].boundary_state("left") for rid in nj.out_ids]
-        sol = jn.solve(nj.spec, states)
-        mom_in = [q * wv for q, wv in zip(sol.q_in, sol.w_in)]
-        for rid, q, mom, wv in zip(nj.in_ids, sol.q_in, mom_in, sol.w_in):
-            fm, fy = edge[rid]
-            fm[-1], fy[-1] = q, mom
-            junction_fluxes[rid] = (q, wv)
-        if len(nj.out_ids) == 1:
-            # hand the outgoing road the exact incoming totals
-            rid = nj.out_ids[0]
-            fm, fy = edge[rid]
-            fm[0], fy[0] = math.fsum(sol.q_in), math.fsum(mom_in)
-            junction_fluxes[rid] = (fm[0], sol.w_out[0])
-        else:
-            for k, rid in enumerate(nj.out_ids):
-                fm, fy = edge[rid]
-                fm[0], fy[0] = sol.q_out[k], sol.q_out[k] * sol.w_out[k]
-                junction_fluxes[rid] = (sol.q_out[k], sol.w_out[k])
+    for (rid, idx), (q, mom, wv) in _junction_edges(network).items():
+        fm, fy = edge[rid]
+        fm[idx], fy[idx] = q, mom
+        junction_fluxes[rid] = (q, wv)
 
     for rid, road in network.roads.items():
         fm, fy = edge[rid]
@@ -280,19 +283,8 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
             series[rid].append(jf.get(rid, (math.nan, math.nan)))
 
     # initial snapshot: junction fluxes on the initial data
-    if network.junctions:
-        jf0 = {}
-        for nj in network.junctions:
-            states = [network.roads[rid].boundary_state("right") for rid in nj.in_ids]
-            states += [network.roads[rid].boundary_state("left") for rid in nj.out_ids]
-            sol = jn.solve(nj.spec, states)
-            for k, rid in enumerate(nj.in_ids):
-                jf0[rid] = (sol.q_in[k], sol.w_in[k])
-            for k, rid in enumerate(nj.out_ids):
-                jf0[rid] = (sol.q_out[k], sol.w_out[k])
-        record(jf0)
-    else:
-        record({})
+    jf0 = {rid: (q, wv) for (rid, _), (q, _, wv) in _junction_edges(network).items()}
+    record(jf0)
 
     t = 0.0
     steps = 0
@@ -306,11 +298,11 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
         for rid, road in network.roads.items():
             fm, fy = edge[rid]
             if network.is_external(rid, "left"):
-                ledger.mass_in += dt * fm[0]
-                ledger.momentum_in += dt * fy[0]
+                ledger.mass_in += dt * float(fm[0])
+                ledger.momentum_in += dt * float(fy[0])
             if network.is_external(rid, "right"):
-                ledger.mass_out += dt * fm[-1]
-                ledger.momentum_out += dt * fy[-1]
+                ledger.mass_out += dt * float(fm[-1])
+                ledger.momentum_out += dt * float(fy[-1])
         t += dt
         steps += 1
         if steps % cfg.output_stride == 0:
@@ -328,7 +320,7 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
 
     if not times or times[-1] != t:
         times.append(t)
-        record(jf if steps else (jf0 if network.junctions else {}))
+        record(jf if steps else jf0)
 
     ledger.final_mass = math.fsum(r.total_mass() for r in network.roads.values())
     ledger.final_momentum = math.fsum(r.total_momentum() for r in network.roads.values())

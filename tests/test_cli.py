@@ -74,6 +74,9 @@ class TestCliCommands:
         ledger = (out / "ledger.csv").read_text().splitlines()
         assert ledger[0].startswith("quantity,")
         assert len(ledger) == 3
+        for row in ledger[1:]:
+            for field in row.split(",")[1:]:
+                float(field)  # a plain number, not a repr such as np.float64(...)
 
     def test_capacity_drop_direct(self, merge_file, tmp_path, capsys):
         out = tmp_path / "cap"

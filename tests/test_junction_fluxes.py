@@ -1,0 +1,97 @@
+"""The flux-only junction path against the full solver with boundary traces."""
+
+import dataclasses
+
+import pytest
+
+from arznet import fundamental as fd
+from arznet import junction as jc
+from arznet.fundamental import RoadParams, TrafficState
+from arznet.junction import JunctionFluxes, JunctionKind, JunctionSpec
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+FLUX_FIELDS = [f.name for f in dataclasses.fields(JunctionFluxes)]
+
+# Ranges of the random instances of acceptance criterion 10.
+params = st.builds(
+    RoadParams,
+    rho_max=st.floats(20.0, 300.0),
+    v_ref=st.floats(40.0, 160.0),
+    gamma=st.floats(0.5, 4.0),
+)
+
+
+@st.composite
+def branch(draw):
+    p = draw(params)
+    rho = draw(st.floats(1e-3, 0.98 * p.rho_max))
+    v = draw(st.floats(0.5, p.v_ref))
+    return p, TrafficState(rho, v)
+
+
+# Priorities near 0 and 1 as well as in the interior.
+priorities = st.one_of(
+    st.floats(1e-6, 0.05), st.floats(0.05, 0.95), st.floats(0.95, 1.0 - 1e-6)
+)
+
+
+@st.composite
+def instance(draw):
+    """(spec, states) of a random 1-to-1, diverge (one to three outgoing) or merge junction."""
+    kind = draw(st.sampled_from(list(JunctionKind)))
+    if kind is JunctionKind.ONE_TO_ONE:
+        branches = [draw(branch()), draw(branch())]
+        spec = JunctionSpec(kind, (branches[0][0],), (branches[1][0],))
+    elif kind is JunctionKind.DIVERGE:
+        m = draw(st.integers(1, 3))
+        branches = [draw(branch()) for _ in range(m + 1)]
+        weights = [draw(st.floats(0.05, 1.0)) for _ in range(m)]
+        alphas = tuple(wt / sum(weights) for wt in weights[:-1])
+        alphas += (1.0 - sum(alphas),)
+        spec = JunctionSpec(kind, (branches[0][0],), tuple(p for p, _ in branches[1:]),
+                            alphas=alphas)
+    else:
+        branches = [draw(branch()) for _ in range(3)]
+        priority = draw(priorities)
+        if draw(st.booleans()):
+            # the mirrored construction: swap the incoming roads and the priority
+            branches[:2] = branches[1::-1]
+            priority = 1.0 - priority
+        spec = JunctionSpec(kind, (branches[0][0], branches[1][0]), (branches[2][0],),
+                            priority=priority)
+    return spec, [s for _, s in branches]
+
+
+@hypothesis.settings(max_examples=600, deadline=None)
+@hypothesis.given(instance())
+def test_fluxes_equal_solve_exactly(case):
+    spec, states = case
+    fl = jc.junction_fluxes(spec, states)
+    sol = jc.solve(spec, states)
+    for name in FLUX_FIELDS:
+        assert getattr(fl, name) == getattr(sol, name), name
+
+
+def _one_to_one_case():
+    p = RoadParams(180.0, 100.0, 1.2)
+    return JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,)), [
+        fd.equilibrium_state(p, 30.0), fd.equilibrium_state(p, 10.0)]
+
+
+@pytest.mark.parametrize("excess, raises", [(1.01, True), (1.0 + 1e-7, False)])
+def test_capacity_guard(monkeypatch, excess, raises):
+    """A flux beyond capacity plus the relative slack raises on both paths; noise does not."""
+    spec, states = _one_to_one_case()
+    fl = jc.junction_fluxes(spec, states)
+    cap = float(fd.capacity(spec.incoming[0], fl.w_in[0]))
+    over = dataclasses.replace(fl, q_in=(excess * cap,), q_out=(excess * cap,))
+    monkeypatch.setattr(jc, "_one_to_one", lambda inc, out: (over, (cap,), (cap,)))
+    if raises:
+        with pytest.raises(jc.InfeasibleFlux):
+            jc.junction_fluxes(spec, states)
+        with pytest.raises(jc.InfeasibleFlux):
+            jc.solve(spec, states)
+    else:
+        assert jc.junction_fluxes(spec, states) == over
