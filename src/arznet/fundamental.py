@@ -12,6 +12,7 @@ Units are fixed: density in veh/km, speed in km/h, flux in veh/h.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,12 @@ class RoadParams:
     gamma: float    # pressure exponent [-]
 
     def __post_init__(self):
-        if not (self.rho_max > 0 and self.v_ref > 0 and self.gamma > 0):
+        # plain comparisons first: a NaN fails them, and they cost least
+        if not (self.rho_max > 0 and self.v_ref > 0 and self.gamma > 0
+                and math.isfinite(self.rho_max) and math.isfinite(self.v_ref)
+                and math.isfinite(self.gamma)):
             raise ValueError(
-                f"road parameters must be strictly positive, got "
+                f"road parameters must be finite and strictly positive, got "
                 f"rho_max={self.rho_max}, v_ref={self.v_ref}, gamma={self.gamma}"
             )
 
@@ -45,7 +49,7 @@ class TrafficState:
     v: float    # [km/h]
 
     def __post_init__(self):
-        if self.rho < 0 or self.v < 0:
+        if not (self.rho >= 0 and self.v >= 0 and math.isfinite(self.rho) and math.isfinite(self.v)):
             raise ValueError(f"invalid state rho={self.rho}, v={self.v}")
 
 
@@ -58,8 +62,11 @@ def _check_nonneg(x, name):
 # The public functions below check their arguments once; the unchecked kernels
 # they share serve callers whose inputs are non-negative by construction.
 
-def _pressure(p: RoadParams, rho):
-    return (p.v_ref / p.gamma) * (np.asarray(rho) / p.rho_max) ** p.gamma
+def _pressure(p: RoadParams, rho, out=None):
+    x = np.divide(rho, p.rho_max, out=out)
+    x **= p.gamma
+    x *= p.v_ref / p.gamma
+    return x
 
 
 def _sonic_point(p: RoadParams, c):
@@ -68,9 +75,8 @@ def _sonic_point(p: RoadParams, c):
     )
 
 
-def _capacity(p: RoadParams, c):
-    # the sonic point first: on arrays, fewer temporaries are alive at once
-    sigma = _sonic_point(p, c)
+def _capacity(p: RoadParams, c, sigma):
+    """Capacity along {w = c}, given its sonic point ``sigma``."""
     # p(sigma(c)) = c / (1 + gamma) for the power-law pressure
     return (np.asarray(c) * p.gamma / (1.0 + p.gamma)) * sigma
 
@@ -96,7 +102,7 @@ def sonic_point(p: RoadParams, c):
 def capacity(p: RoadParams, c):
     """Maximal flux along {w = c}, attained at the sonic density."""
     _check_nonneg(c, "attribute")
-    return _capacity(p, c)
+    return _capacity(p, c, _sonic_point(p, c))
 
 
 def demand(p: RoadParams, rho, c):
@@ -106,7 +112,7 @@ def demand(p: RoadParams, rho, c):
     rho = np.asarray(rho, dtype=float)
     sigma = _sonic_point(p, c)
     free = (np.asarray(c) - _pressure(p, rho)) * rho
-    return np.maximum(np.where(rho <= sigma, free, _capacity(p, c)), 0.0)
+    return np.maximum(np.where(rho <= sigma, free, _capacity(p, c, sigma)), 0.0)
 
 
 def supply(p: RoadParams, rho, c):
@@ -117,7 +123,7 @@ def supply(p: RoadParams, rho, c):
     sigma = _sonic_point(p, c)
     congested = (np.asarray(c) - _pressure(p, rho)) * rho
     # densities beyond the zero-speed point can accept nothing, not a negative flux
-    return np.maximum(np.where(rho <= sigma, _capacity(p, c), congested), 0.0)
+    return np.maximum(np.where(rho <= sigma, _capacity(p, c, sigma), congested), 0.0)
 
 
 def eigenvalues(p: RoadParams, s: TrafficState):

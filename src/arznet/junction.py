@@ -43,6 +43,27 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
     return out_road.rho_max * arg ** (1.0 / out_road.gamma)
 
 
+def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
+    """Godunov demand of a left state and supply of the right road for its attribute.
+
+    The left state is the density ``rho``, its pressure ``p_rho = p(rho)`` and
+    its attribute ``w`` on road ``left``; the right road takes ``w`` at its
+    own speed ``v`` (the modified density).  The 1-to-1 flux is
+    ``min(demand, supply)``.  Scalars or arrays; the sonic point and the
+    capacity along ``{w = const}`` are evaluated once when ``right is left``.
+    """
+    sigma = fd._sonic_point(left, w)
+    cap = fd._capacity(left, w, sigma)
+    demand = np.maximum(np.where(rho <= sigma, (w - p_rho) * rho, cap), 0.0)
+    if right is not left:
+        sigma = fd._sonic_point(right, w)
+        cap = fd._capacity(right, w, sigma)
+    rho_t = modified_density(right, w, v)
+    # densities beyond the zero-speed point can accept nothing, not a negative flux
+    congested = (w - fd._pressure(right, rho_t)) * rho_t
+    return demand, np.maximum(np.where(rho_t <= sigma, cap, congested), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Junction topology
 # ---------------------------------------------------------------------------
@@ -195,10 +216,9 @@ def _one_to_one(incoming: Branch, outgoing: Branch):
     """1-to-1 fluxes, with the incoming demand and the outgoing supply."""
     p1, s1 = incoming
     p2, s2 = outgoing
-    w1 = fd.attribute(p1, s1)
-    d1 = float(fd.demand(p1, s1.rho, w1))
-    rho2_t = float(modified_density(p2, w1, s2.v))
-    s2_sup = float(fd.supply(p2, rho2_t, w1))
+    p_rho = float(fd._pressure(p1, s1.rho))
+    w1 = s1.v + p_rho  # fd.attribute(p1, s1), sharing p(rho) with the demand
+    d1, s2_sup = map(float, demand_supply(p1, s1.rho, p_rho, w1, p2, s2.v))
     q = min(d1, s2_sup)
     return JunctionFluxes(q_in=(q,), q_out=(q,), w_in=(w1,), w_out=(w1,)), (d1,), (s2_sup,)
 

@@ -7,6 +7,7 @@ free-flow root).  Units are veh/km, km/h, veh/h.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -42,19 +43,17 @@ class JunctionDecl:
     priority: float | None = None
 
 
-@dataclass(frozen=True)
-class SimSettings:
-    cfl: float = 0.5
-    t_end: float = 0.25
-    output_stride: int = 10
-    steady_tol: float = 1e-6
+# The `sim` settings a scenario file may hold, with their types; the defaults
+# are those of sim.SimConfig, and t_end defaults to _T_END.
+_SIM_FIELDS = {"cfl": float, "t_end": float, "output_stride": int, "steady_tol": float}
+_T_END = 0.25  # [h]
 
 
 @dataclass
 class Scenario:
     roads: list[RoadSpec]
     junctions: list[JunctionDecl]
-    sim: SimSettings = field(default_factory=SimSettings)
+    sim: sim.SimConfig = field(default_factory=lambda: sim.SimConfig(t_end=_T_END))
 
     def road(self, road_id: str) -> RoadSpec:
         for r in self.roads:
@@ -122,12 +121,11 @@ def parse(data: dict) -> Scenario:
 
     sim_entry = data.get("sim", {})
     _require(isinstance(sim_entry, dict), "'sim' must be an object")
-    settings = SimSettings(
-        cfl=float(sim_entry.get("cfl", 0.5)),
-        t_end=float(sim_entry.get("t_end", 0.25)),
-        output_stride=int(sim_entry.get("output_stride", 10)),
-        steady_tol=float(sim_entry.get("steady_tol", 1e-6)),
-    )
+    try:
+        given = {k: conv(sim_entry[k]) for k, conv in _SIM_FIELDS.items() if k in sim_entry}
+        settings = sim.SimConfig(**{"t_end": _T_END, **given})
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"sim: {exc}") from exc
     scenario = Scenario(roads=roads, junctions=junctions, sim=settings)
     # arity/priority/alpha validation happens in JunctionSpec construction
     for decl in junctions:
@@ -149,10 +147,7 @@ def load(path) -> Scenario:
 
 def dump(scenario: Scenario) -> dict:
     """JSON document that re-parses to an identical scenario."""
-    doc = {"roads": [], "junctions": [], "sim": {
-        "cfl": scenario.sim.cfl, "t_end": scenario.sim.t_end,
-        "output_stride": scenario.sim.output_stride, "steady_tol": scenario.sim.steady_tol,
-    }}
+    doc = {"roads": [], "junctions": [], "sim": {k: getattr(scenario.sim, k) for k in _SIM_FIELDS}}
     for r in scenario.roads:
         doc["roads"].append({
             "id": r.road_id, "rho_max": r.params.rho_max, "v_ref": r.params.v_ref,
@@ -195,10 +190,6 @@ def build_network(scenario: Scenario) -> sim.Network:
 
 
 def sim_config(scenario: Scenario, cfl=None, t_end=None) -> sim.SimConfig:
-    s = scenario.sim
-    return sim.SimConfig(
-        t_end=s.t_end if t_end is None else t_end,
-        cfl=s.cfl if cfl is None else cfl,
-        output_stride=s.output_stride,
-        steady_tol=s.steady_tol,
-    )
+    """The scenario's simulation settings with the command-line overrides that were given."""
+    overrides = {"cfl": cfl, "t_end": t_end}
+    return dataclasses.replace(scenario.sim, **{k: v for k, v in overrides.items() if v is not None})

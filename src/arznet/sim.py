@@ -4,18 +4,25 @@ Interior interface fluxes are 1-to-1 junction solves with identical road
 parameters (demand/supply with the attribute advected downstream); node fluxes
 come from the junction Riemann solvers evaluated on the adjacent boundary cells.
 External road ends use ghost cells frozen at the initial far-field state.
+
+Each step evaluates p(rho), w, v and the max wave speed once per road
+(``_cells``); the CFL bound and the fluxes of every edge, the external ends
+included, are computed from that one result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fundamental as fd
 from . import junction as jn
 from .fundamental import RoadParams, TrafficState
+from .rootfind import SolverFailure
 
 
 class CFLViolation(RuntimeError):
@@ -50,15 +57,6 @@ class DiscretizedRoad:
     @property
     def dx(self) -> float:
         return self.length / self.cells
-
-    def primitives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell (v, w) with the vacuum convention w = v = v_ref."""
-        vac = self.rho < fd.VACUUM_RHO
-        rho_safe = np.where(vac, 1.0, self.rho)
-        w = np.where(vac, self.params.v_ref, self.y / rho_safe)
-        v = np.maximum(w - np.asarray(fd.pressure(self.params, self.rho)), 0.0)
-        v = np.where(vac, self.params.v_ref, v)
-        return v, w
 
     def boundary_state(self, end: str) -> TrafficState:
         idx = 0 if end == "left" else -1
@@ -121,8 +119,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in ]0,1], got {self.cfl}")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
+        if not (math.isfinite(self.steady_tol) and self.steady_tol >= 0):
+            raise ValueError(f"steady_tol must be finite and non-negative, got {self.steady_tol}")
 
 
 @dataclass
@@ -164,43 +164,57 @@ def interface_flux(left: jn.Branch, right: jn.Branch) -> tuple[float, float]:
     """Godunov flux at a cell interface: (mass flux, momentum flux)."""
     p_l, s_l = left
     p_r, s_r = right
-    w_l = fd.attribute(p_l, s_l) if s_l.rho >= fd.VACUUM_RHO else s_l.v
-    de = float(fd.demand(p_l, s_l.rho, w_l))
-    rho_t = float(jn.modified_density(p_r, w_l, s_r.v))
-    su = float(fd.supply(p_r, rho_t, w_l))
-    q = min(de, su)
+    p_rho = float(fd._pressure(p_l, s_l.rho))
+    w_l = s_l.v + p_rho if s_l.rho >= fd.VACUUM_RHO else s_l.v
+    de, su = jn.demand_supply(p_l, s_l.rho, p_rho, w_l, p_r, s_r.v)
+    q = float(min(de, su))
     return q, w_l * q
 
 
-def _max_wave_speed(road: DiscretizedRoad, v: np.ndarray, w: np.ndarray) -> float:
-    lam1 = w - (1.0 + road.params.gamma) * np.asarray(fd.pressure(road.params, road.rho))
-    return float(max(np.max(np.abs(lam1)), np.max(v), road.params.v_ref))
+class _Cells(NamedTuple):
+    """One road's cell quantities for one step, laid out by edge (n cells, n + 1 edges).
+
+    ``p = p(rho)`` and ``w`` are those of the left state of each edge: the
+    frozen left ghost, then cells 0..n-1. ``v`` is the right speed of each
+    edge: cells 0..n-1, then the frozen right ghost.
+    """
+
+    p: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    speed: float   # max wave speed over the cells
 
 
-def stable_dt(network: Network, cfl: float) -> float:
-    """CFL time step over all roads."""
+def _cells(road: DiscretizedRoad) -> _Cells:
+    """Evaluate p(rho), w, v and the max wave speed of a road once, for the CFL bound and the fluxes."""
+    par, n, rho = road.params, road.cells, road.rho
+    p, w, v = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    g = road.ghost_left
+    p[0] = fd._pressure(par, g.rho)
+    w[0] = g.v + p[0] if g.rho >= fd.VACUUM_RHO else g.v
+    v[n] = road.ghost_right.v
+    p_c, w_c, v_c = p[1:], w[1:], v[:-1]
+    fd._pressure(par, rho, out=p_c)
+    # vacuum convention: w = v = v_ref
+    vac = rho < fd.VACUUM_RHO
+    np.divide(road.y, np.where(vac, 1.0, rho), out=w_c)
+    w_c[vac] = par.v_ref
+    np.maximum(w_c - p_c, 0.0, out=v_c)
+    v_c[vac] = par.v_ref
+    lam1 = w_c - (1.0 + par.gamma) * p_c
+    speed = float(max(np.abs(lam1).max(), v_c.max(), par.v_ref))
+    # the last edge's left state as at an external end: w = v + p(rho), not y / rho
+    w[n] = v[n - 1] + p[n] if rho[-1] >= fd.VACUUM_RHO else v[n - 1]
+    return _Cells(p, w, v, speed)
+
+
+def stable_dt(network: Network, cfl: float, cells: dict[str, _Cells] | None = None) -> float:
+    """CFL time step over all roads; ``cells`` reuses this step's ``_cells`` per road."""
     dt = math.inf
-    for road in network.roads.values():
-        v, w = road.primitives()
-        dt = min(dt, cfl * road.dx / _max_wave_speed(road, v, w))
+    for rid, road in network.roads.items():
+        c = cells[rid] if cells is not None else _cells(road)
+        dt = min(dt, cfl * road.dx / c.speed)
     return dt
-
-
-def _edge_fluxes(road: DiscretizedRoad, v: np.ndarray, w: np.ndarray):
-    """Interior + external-boundary edge fluxes; junction edges stay unset (nan)."""
-    p = road.params
-    n = road.cells
-    fm = np.empty(n + 1)
-    fy = np.empty(n + 1)
-    fm[:] = np.nan
-    if n > 1:
-        w_l = w[:-1]
-        de = fd.demand(p, road.rho[:-1], w_l)
-        rho_t = jn.modified_density(p, w_l, v[1:])
-        su = fd.supply(p, rho_t, w_l)
-        fm[1:-1] = np.minimum(de, su)
-        fy[1:-1] = w_l * fm[1:-1]
-    return fm, fy
 
 
 def _junction_edges(network: Network) -> dict[tuple[str, int], tuple[float, float, float]]:
@@ -222,31 +236,31 @@ def _junction_edges(network: Network) -> dict[tuple[str, int], tuple[float, floa
     return edges
 
 
-def step(network: Network, dt: float) -> dict[str, tuple[float, float]]:
+def step(network: Network, dt: float, cells: dict[str, _Cells] | None = None):
     """Advance every road by one conservative update of size ``dt``.
 
-    Returns the junction-edge (q, w) per junction-adjacent road id.  Raises
-    CFLViolation when ``dt`` exceeds the stability bound.
+    Returns the junction-edge (q, w) per junction-adjacent road id and the
+    edge fluxes (mass, momentum) per road.  ``cells`` reuses this step's
+    ``_cells`` per road.  Raises CFLViolation when ``dt`` exceeds the
+    stability bound.
     """
-    prims = {rid: road.primitives() for rid, road in network.roads.items()}
+    if cells is None:
+        cells = {rid: _cells(road) for rid, road in network.roads.items()}
     for rid, road in network.roads.items():
-        v, w = prims[rid]
-        if dt > road.dx / _max_wave_speed(road, v, w) * (1.0 + 1e-12):
+        if dt > road.dx / cells[rid].speed * (1.0 + 1e-12):
             raise CFLViolation(f"dt={dt} exceeds the CFL bound on road {rid}")
 
+    # every edge as a 1-to-1 interface; junction edges are overwritten below
     edge = {}
     for rid, road in network.roads.items():
-        v, w = prims[rid]
-        fm, fy = _edge_fluxes(road, v, w)
-        if network.is_external(rid, "left"):
-            g = road.ghost_left
-            s0 = TrafficState(float(road.rho[0]), float(v[0]))
-            fm[0], fy[0] = interface_flux((road.params, g), (road.params, s0))
-        if network.is_external(rid, "right"):
-            g = road.ghost_right
-            s1 = TrafficState(float(road.rho[-1]), float(v[-1]))
-            fm[-1], fy[-1] = interface_flux((road.params, s1), (road.params, g))
-        edge[rid] = (fm, fy)
+        c = cells[rid]
+        # the left densities of the edges, padded here rather than kept in _Cells:
+        # fewer arrays stay alive across the step
+        rho = np.empty(road.cells + 1)
+        rho[0], rho[1:] = road.ghost_left.rho, road.rho
+        de, su = jn.demand_supply(road.params, rho, c.p, c.w, road.params, c.v)
+        fm = np.minimum(de, su, out=de)
+        edge[rid] = (fm, c.w * fm)
 
     junction_fluxes: dict[str, tuple[float, float]] = {}
     for (rid, idx), (q, mom, wv) in _junction_edges(network).items():
@@ -257,10 +271,10 @@ def step(network: Network, dt: float) -> dict[str, tuple[float, float]]:
     for rid, road in network.roads.items():
         fm, fy = edge[rid]
         lam = dt / road.dx
-        road.rho -= lam * np.diff(fm)
-        road.y -= lam * np.diff(fy)
-        np.clip(road.rho, 0.0, None, out=road.rho)
-        np.clip(road.y, 0.0, None, out=road.y)
+        road.rho -= lam * (fm[1:] - fm[:-1])
+        road.y -= lam * (fy[1:] - fy[:-1])
+        np.maximum(road.rho, 0.0, out=road.rho)
+        np.maximum(road.y, 0.0, out=road.y)
     return junction_fluxes, edge
 
 
@@ -293,8 +307,12 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
     prev = None
     jf = {}
     while t < cfg.t_end * (1.0 - 1e-12) and steps < cfg.max_steps:
-        dt = min(stable_dt(network, cfg.cfl), cfg.t_end - t)
-        jf, edge = step(network, dt)
+        cells = {rid: _cells(road) for rid, road in network.roads.items()}
+        for rid, c in cells.items():
+            if not math.isfinite(c.speed):
+                raise SolverFailure(f"non-finite state on road {rid} at step {steps}, t={t!r}")
+        dt = min(stable_dt(network, cfg.cfl, cells), cfg.t_end - t)
+        jf, edge = step(network, dt, cells)
         for rid, road in network.roads.items():
             fm, fy = edge[rid]
             if network.is_external(rid, "left"):
@@ -327,9 +345,8 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
 
     final_rho, final_v = {}, {}
     for rid, road in network.roads.items():
-        v, _ = road.primitives()
         final_rho[rid] = road.rho.copy()
-        final_v[rid] = v
+        final_v[rid] = _cells(road).v[:-1]
     steady_fluxes = {rid: series[rid][-1][0] for rid in junction_road_ids}
     return SimResult(
         times=np.array(times),
@@ -339,16 +356,20 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
     )
 
 
+_CSV_ROWS = 4096
+
+
 def write_flux_csv(result: SimResult, path) -> None:
     """Flux time series as `t,branch_id,q,w` rows, full precision."""
     import csv
 
+    times = [repr(t) for t in result.times.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "branch_id", "q", "w"])
         for rid, arr in result.flux_series.items():
-            for t, (q, w) in zip(result.times, arr):
-                writer.writerow([repr(float(t)), rid, repr(float(q)), repr(float(w))])
+            q, w = arr.T.tolist()
+            writer.writerows(zip(times, itertools.repeat(rid), map(repr, q), map(repr, w)))
 
 
 def write_profile_csv(result: SimResult, path) -> None:
@@ -358,6 +379,10 @@ def write_profile_csv(result: SimResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["branch_id", "cell", "rho", "v"])
-        for rid in result.final_rho:
-            for k, (rho, v) in enumerate(zip(result.final_rho[rid], result.final_v[rid])):
-                writer.writerow([rid, k, repr(float(rho)), repr(float(v))])
+        for rid, rho in result.final_rho.items():
+            v = result.final_v[rid]
+            # a bounded number of rows as Python floats at a time keeps the peak memory flat
+            for lo in range(0, len(rho), _CSV_ROWS):
+                hi = lo + _CSV_ROWS
+                writer.writerows(zip(itertools.repeat(rid), range(lo, hi),
+                                     map(repr, rho[lo:hi].tolist()), map(repr, v[lo:hi].tolist())))

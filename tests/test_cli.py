@@ -51,6 +51,13 @@ class TestScenarioParsing:
         with pytest.raises(scenario.ScenarioError, match="unknown road"):
             scenario.parse(doc)
 
+    @pytest.mark.parametrize("key", ["t_end", "cfl", "steady_tol"])
+    def test_non_finite_sim_setting_rejected(self, key):
+        doc = json.loads(json.dumps(MERGE_DOC))
+        doc["sim"][key] = float("nan")
+        with pytest.raises(scenario.ScenarioError, match=key):
+            scenario.parse(doc)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")

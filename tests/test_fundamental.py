@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,15 @@ class TestStateConversions:
             RoadParams(0.0, 100.0, 1.0)
         with pytest.raises(ValueError):
             TrafficState(-1.0, 5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        for args in [(bad, 100.0, 1.0), (180.0, bad, 1.0), (180.0, 100.0, bad)]:
+            with pytest.raises(ValueError):
+                RoadParams(*args)
+        for args in [(bad, 10.0), (10.0, bad)]:
+            with pytest.raises(ValueError):
+                TrafficState(*args)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(23)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from arznet import junction as jc
 from arznet import sim
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
+from arznet.rootfind import SolverFailure
 
 ROAD_IN = RoadParams(rho_max=180.0, v_ref=100.0, gamma=1.2)
 ROAD_OUT = RoadParams(rho_max=90.0, v_ref=100.0, gamma=1.7)
@@ -58,6 +61,22 @@ class TestSingleRoad:
         net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})
         with pytest.raises(sim.CFLViolation):
             sim.step(net, 10.0 * sim.stable_dt(net, 1.0))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field", ["t_end", "steady_tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            sim.SimConfig(**{"t_end": 0.05, field: bad})
+
+    def test_nan_state_fails_the_run(self):
+        s = fd.equilibrium_state(ROAD_IN, 40.0)
+        net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 1.0, 20, s)})
+        sim.run(net, sim.SimConfig(t_end=0.002))
+        net.roads["r"].y[5] = math.nan
+        with pytest.raises(SolverFailure, match=r"road r at step 0, t=0\.0"):
+            sim.run(net, sim.SimConfig(t_end=0.05))
 
 
 class TestInterfaceFlux:
