@@ -39,6 +39,7 @@ def cmd_solve(args) -> int:
         print(f"out {rid}: q={q:.6f} w_mix={w:.6f}")
     if sol.ratio is not None:
         print(f"ratio: {sol.ratio:.6f} (1 - ratio: {1 - sol.ratio:.6f})")
+        print(f"case: {sol.case}")
     for rid, b in zip(decl.in_ids + decl.out_ids, sol.boundary_in + sol.boundary_out):
         print(f"boundary {rid}: rho={b.rho:.6f} v={b.v:.6f}")
     return EXIT_OK

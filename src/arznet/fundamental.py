@@ -7,6 +7,8 @@ unique maximizer (the sonic density), which splits the curve into the demand and
 supply branches used by all junction couplings.
 
 All functions accept scalars or numpy arrays for the density/attribute arguments.
+Scalars take plain Python arithmetic, so Python floats give Python floats; arrays
+take numpy's.  Both paths perform the same operations in the same order.
 Units are fixed: density in veh/km, speed in km/h, flux in veh/h.
 """
 
@@ -53,9 +55,12 @@ class TrafficState:
             raise ValueError(f"invalid state rho={self.rho}, v={self.v}")
 
 
+_SCALAR = (int, float)  # np.float64 included: it subclasses float
+
+
 def _check_nonneg(x, name):
     # a plain comparison for scalars: a numpy reduction costs more than the formulas it guards
-    if (x < 0) if isinstance(x, (int, float)) else np.any(np.asarray(x) < 0):
+    if (x < 0) if isinstance(x, _SCALAR) else np.any(np.asarray(x) < 0):
         raise ValueError(f"{name} must be non-negative, got {x}")
 
 
@@ -63,6 +68,9 @@ def _check_nonneg(x, name):
 # they share serve callers whose inputs are non-negative by construction.
 
 def _pressure(p: RoadParams, rho, out=None):
+    if out is None and isinstance(rho, _SCALAR):
+        # np.divide would return a numpy scalar
+        return (rho / p.rho_max) ** p.gamma * (p.v_ref / p.gamma)
     x = np.divide(rho, p.rho_max, out=out)
     x **= p.gamma
     x *= p.v_ref / p.gamma
@@ -70,15 +78,34 @@ def _pressure(p: RoadParams, rho, out=None):
 
 
 def _sonic_point(p: RoadParams, c):
-    return p.rho_max * (np.asarray(c) * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (
-        1.0 / p.gamma
-    )
+    return p.rho_max * (c * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (1.0 / p.gamma)
 
 
 def _capacity(p: RoadParams, c, sigma):
     """Capacity along {w = c}, given its sonic point ``sigma``."""
     # p(sigma(c)) = c / (1 + gamma) for the power-law pressure
-    return (np.asarray(c) * p.gamma / (1.0 + p.gamma)) * sigma
+    return (c * p.gamma / (1.0 + p.gamma)) * sigma
+
+
+# Scalar forms of the np.where selections of demand, supply and
+# junction.demand_supply, for scalar densities and sonic points (``_scalars``).
+# The clamp is np.maximum(q, 0.0) exactly: NaN passes, and -0.0 (from
+# underflow) becomes 0.0.
+
+def _scalars(rho, sigma) -> bool:
+    return isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR)
+
+
+def _demand(rho, p_rho, c, sigma, cap):
+    """Demand at ``rho`` (pressure ``p_rho``) along {w = c}, given its sonic point and capacity."""
+    q = (c - p_rho) * rho if rho <= sigma else cap
+    return 0.0 if q <= 0.0 else q
+
+
+def _supply(p: RoadParams, rho, c, sigma, cap):
+    """Supply at density ``rho`` along {w = c}, given its sonic point and capacity."""
+    q = cap if rho <= sigma else (c - _pressure(p, rho)) * rho
+    return 0.0 if q <= 0.0 else q
 
 
 def pressure(p: RoadParams, rho):
@@ -90,7 +117,7 @@ def pressure(p: RoadParams, rho):
 def pressure_inv(p: RoadParams, val):
     """Density at which the pressure equals ``val``."""
     _check_nonneg(val, "pressure value")
-    return p.rho_max * (p.gamma * np.asarray(val) / p.v_ref) ** (1.0 / p.gamma)
+    return p.rho_max * (p.gamma * val / p.v_ref) ** (1.0 / p.gamma)
 
 
 def sonic_point(p: RoadParams, c):
@@ -109,8 +136,10 @@ def demand(p: RoadParams, rho, c):
     """Maximal flux the road can send downstream from density ``rho`` at attribute ``c``."""
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
-    rho = np.asarray(rho, dtype=float)
     sigma = _sonic_point(p, c)
+    if _scalars(rho, sigma):
+        return _demand(rho, _pressure(p, rho), c, sigma, _capacity(p, c, sigma))
+    rho = np.asarray(rho, dtype=float)
     free = (np.asarray(c) - _pressure(p, rho)) * rho
     return np.maximum(np.where(rho <= sigma, free, _capacity(p, c, sigma)), 0.0)
 
@@ -119,8 +148,10 @@ def supply(p: RoadParams, rho, c):
     """Maximal flux the road can accept at density ``rho`` and attribute ``c``."""
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
-    rho = np.asarray(rho, dtype=float)
     sigma = _sonic_point(p, c)
+    if _scalars(rho, sigma):
+        return _supply(p, rho, c, sigma, _capacity(p, c, sigma))
+    rho = np.asarray(rho, dtype=float)
     congested = (np.asarray(c) - _pressure(p, rho)) * rho
     # densities beyond the zero-speed point can accept nothing, not a negative flux
     return np.maximum(np.where(rho <= sigma, _capacity(p, c, sigma), congested), 0.0)
@@ -129,18 +160,18 @@ def supply(p: RoadParams, rho, c):
 def eigenvalues(p: RoadParams, s: TrafficState):
     """Characteristic speeds (lambda_1, lambda_2) = (v - rho p'(rho), v)."""
     # rho * p'(rho) = gamma * p(rho) for the power-law pressure
-    lam1 = s.v - p.gamma * float(_pressure(p, s.rho))
+    lam1 = s.v - p.gamma * _pressure(p, s.rho)
     return lam1, s.v
 
 
 def lambda1(p: RoadParams, rho, c):
     """First characteristic speed along {w = c}: c - (1 + gamma) p(rho)."""
-    return np.asarray(c) - (1.0 + p.gamma) * pressure(p, rho)
+    return c - (1.0 + p.gamma) * pressure(p, rho)
 
 
 def attribute(p: RoadParams, s: TrafficState) -> float:
     """Lagrangian attribute w = v + p(rho) of a state."""
-    return s.v + float(_pressure(p, s.rho))
+    return s.v + _pressure(p, s.rho)
 
 
 def to_conservative(p: RoadParams, s: TrafficState) -> tuple[float, float]:
@@ -152,13 +183,13 @@ def from_conservative(p: RoadParams, rho: float, y: float) -> TrafficState:
     """Primitive state from the conservative pair; vacuum reports v = v_ref."""
     if rho < VACUUM_RHO:
         return TrafficState(rho=max(rho, 0.0), v=p.v_ref)
-    v = y / rho - float(_pressure(p, rho))
+    v = y / rho - _pressure(p, rho)
     return TrafficState(rho=rho, v=max(v, 0.0))
 
 
 def equilibrium_speed(p: RoadParams, rho):
     """Greenshields equilibrium speed V(rho) = v_ref * (1 - rho/rho_max)."""
-    return p.v_ref * (1.0 - np.asarray(rho) / p.rho_max)
+    return p.v_ref * (1.0 - rho / p.rho_max)
 
 
 def equilibrium_density(p: RoadParams, q: float) -> float:
@@ -172,4 +203,4 @@ def equilibrium_density(p: RoadParams, q: float) -> float:
 
 def equilibrium_state(p: RoadParams, rho: float) -> TrafficState:
     """State on the equilibrium curve at density ``rho``."""
-    return TrafficState(rho=rho, v=float(equilibrium_speed(p, rho)))
+    return TrafficState(rho=rho, v=equilibrium_speed(p, rho))

@@ -39,7 +39,9 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
     Intersection of {w = w_in} with {v = v_out}, clamped to vacuum when the
     incoming attribute lies below the outgoing speed.
     """
-    arg = np.maximum(0.0, (out_road.gamma / out_road.v_ref) * (np.asarray(w_in) - v_out))
+    arg = (out_road.gamma / out_road.v_ref) * (w_in - v_out)
+    # Python floats clamp with max (value first: NaN passes), numpy values with np.maximum
+    arg = max(arg, 0.0) if type(arg) is float else np.maximum(0.0, arg)
     return out_road.rho_max * arg ** (1.0 / out_road.gamma)
 
 
@@ -49,16 +51,21 @@ def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
     The left state is the density ``rho``, its pressure ``p_rho = p(rho)`` and
     its attribute ``w`` on road ``left``; the right road takes ``w`` at its
     own speed ``v`` (the modified density).  The 1-to-1 flux is
-    ``min(demand, supply)``.  Scalars or arrays; the sonic point and the
+    ``min(demand, supply)``.  Floats or arrays; the sonic point and the
     capacity along ``{w = const}`` are evaluated once when ``right is left``.
     """
     sigma = fd._sonic_point(left, w)
     cap = fd._capacity(left, w, sigma)
-    demand = np.maximum(np.where(rho <= sigma, (w - p_rho) * rho, cap), 0.0)
+    if fd._scalars(rho, sigma):
+        demand = fd._demand(rho, p_rho, w, sigma, cap)
+    else:
+        demand = np.maximum(np.where(rho <= sigma, (w - p_rho) * rho, cap), 0.0)
     if right is not left:
         sigma = fd._sonic_point(right, w)
         cap = fd._capacity(right, w, sigma)
     rho_t = modified_density(right, w, v)
+    if fd._scalars(rho_t, sigma):
+        return demand, fd._supply(right, rho_t, w, sigma, cap)
     # densities beyond the zero-speed point can accept nothing, not a negative flux
     congested = (w - fd._pressure(right, rho_t)) * rho_t
     return demand, np.maximum(np.where(rho_t <= sigma, cap, congested), 0.0)
@@ -134,9 +141,12 @@ class JunctionSolution(JunctionFluxes):
 # Boundary-state reconstruction
 # ---------------------------------------------------------------------------
 
-def _check_capacity(p: RoadParams, w: float, q: float) -> float:
-    """Capacity along {w = const}; raises InfeasibleFlux when ``q`` exceeds it beyond noise."""
-    cap = float(fd.capacity(p, w))
+def _check_capacity(p: RoadParams, w: float, q: float, sigma: float) -> float:
+    """Capacity along {w = const}, given its sonic point ``sigma``.
+
+    Raises InfeasibleFlux when ``q`` exceeds the capacity beyond noise.
+    """
+    cap = fd._capacity(p, w, sigma)
     # small relative slack: iterative flux solves may overshoot capacity by noise
     if q > cap + 1e-6 * max(1.0, cap, q):
         raise InfeasibleFlux(f"flux {q} exceeds capacity {cap} along w={w}")
@@ -159,32 +169,33 @@ def reconstruct_boundary_state(
     """
     if side not in ("incoming", "outgoing"):
         raise ValueError(f"side must be 'incoming' or 'outgoing', got {side!r}")
-    cap = _check_capacity(p, w, q)
+    sigma = fd.sonic_point(p, w)
+    cap = _check_capacity(p, w, q, sigma)
     # resolve the trace density well below the flux tolerances used downstream
     tol = 1e-13 * max(1.0, cap)
     q = min(q, cap)
-    sigma = float(fd.sonic_point(p, w))
     rho_tiny = 1e-12 * max(1.0, p.rho_max)
 
     def flux(rho):
-        return rho * (w - float(fd.pressure(p, rho)))
+        # unchecked: the brackets below are non-negative
+        return rho * (w - fd._pressure(p, rho))
 
     if side == "incoming":
         if bound_active:
             rho = ref_state.rho if ref_state.rho <= sigma + rho_tiny else sigma
         else:
             # congested root: flux decreases from capacity at sigma to 0 at p^-1(w)
-            rho_jam = float(fd.pressure_inv(p, w)) if w > 0 else 0.0
+            rho_jam = fd.pressure_inv(p, w) if w > 0 else 0.0
             rho = bisect(lambda r: flux(r) - q, sigma, max(rho_jam, sigma), tol)
     else:
-        rho_t = float(modified_density(p, w, ref_state.v))
+        rho_t = modified_density(p, w, ref_state.v)
         if bound_active:
             rho = rho_t if rho_t > sigma else sigma
         else:
             # free-flow root: flux increases from 0 at vacuum to capacity at sigma
             rho = bisect(lambda r: flux(r) - q, 0.0, sigma, tol) if sigma > 0 else 0.0
 
-    v = max(w - float(fd.pressure(p, rho)), 0.0)
+    v = max(w - fd._pressure(p, rho), 0.0)
     return TrafficState(rho=rho, v=v)
 
 
@@ -216,9 +227,9 @@ def _one_to_one(incoming: Branch, outgoing: Branch):
     """1-to-1 fluxes, with the incoming demand and the outgoing supply."""
     p1, s1 = incoming
     p2, s2 = outgoing
-    p_rho = float(fd._pressure(p1, s1.rho))
+    p_rho = fd._pressure(p1, s1.rho)
     w1 = s1.v + p_rho  # fd.attribute(p1, s1), sharing p(rho) with the demand
-    d1, s2_sup = map(float, demand_supply(p1, s1.rho, p_rho, w1, p2, s2.v))
+    d1, s2_sup = demand_supply(p1, s1.rho, p_rho, w1, p2, s2.v)
     q = min(d1, s2_sup)
     return JunctionFluxes(q_in=(q,), q_out=(q,), w_in=(w1,), w_out=(w1,)), (d1,), (s2_sup,)
 
@@ -227,11 +238,8 @@ def _diverge(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[flo
     """Diverge fluxes, with the incoming demand and the outgoing supplies."""
     p1, s1 = incoming
     w1 = fd.attribute(p1, s1)
-    d1 = float(fd.demand(p1, s1.rho, w1))
-    supplies = []
-    for (pj, sj) in outgoings:
-        rho_t = float(modified_density(pj, w1, sj.v))
-        supplies.append(float(fd.supply(pj, rho_t, w1)))
+    d1 = fd.demand(p1, s1.rho, w1)
+    supplies = [fd.supply(pj, modified_density(pj, w1, sj.v), w1) for pj, sj in outgoings]
     q1 = min(d1, min(s / a for s, a in zip(supplies, alphas)))
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
@@ -407,7 +415,8 @@ def fixed_point_ratio(
     Case tags: E1-E3 for the single-attribute-like ("easy") construction,
     H1a/H1b/H2a/H2b/H2c for the attribute-gap construction with the stationary
     ratio of q1 active.  Mirrored cases (positive attribute gap) are handled by
-    the caller through index swapping.
+    the caller through index swapping.  E2/H1b/H2b fix q1 = delta1 and E3/H2a/H2c
+    fix q2 = delta2; only the floor of the free coordinate differs.
     """
     s_scale = max(1.0, delta1, delta2, q1_tilde + q2_tilde)
     # resolve the fixed point well inside the flux tolerance used for comparisons
@@ -416,31 +425,16 @@ def fixed_point_ratio(
 
     if case == "E1":
         return q1_tilde, q2_tilde
-    if case == "E2":
-        q2 = _clamped_fixed_point(geom, delta1, True, q2_tilde, delta2, p_default, tol)
-        return delta1, q2
-    if case == "E3":
-        q1 = _clamped_fixed_point(geom, delta2, False, q1_tilde, delta1, p_default, tol)
-        return q1, delta2
     if case == "H1a":
         assert q1_star is not None and q2_star is not None
         return q1_star, q2_star
-    if case == "H1b":
-        assert q2_star is not None
-        q2 = _clamped_fixed_point(geom, delta1, True, q2_star, delta2, p_default, tol)
-        return delta1, q2
-    if case == "H2a":
-        q1 = _clamped_fixed_point(geom, delta2, False, q1_tilde, delta1, p_default, tol)
-        return q1, delta2
-    if case == "H2b":
-        assert q2_star is not None
-        if q2_star >= delta2:
-            return delta1, delta2
-        q2 = _clamped_fixed_point(geom, delta1, True, q2_star, delta2, p_default, tol)
-        return delta1, q2
-    if case == "H2c":
-        q1 = _clamped_fixed_point(geom, delta2, False, q1_tilde, delta1, p_default, tol)
-        return q1, delta2
+    if case in ("E2", "H1b", "H2b"):
+        floor = q2_tilde if case == "E2" else q2_star
+        assert floor is not None
+        # a floor at or above delta2 returns delta2 (H2b's saturated case)
+        return delta1, _clamped_fixed_point(geom, delta1, True, floor, delta2, p_default, tol)
+    if case in ("E3", "H2a", "H2c"):
+        return _clamped_fixed_point(geom, delta2, False, q1_tilde, delta1, p_default, tol), delta2
     raise ValueError(f"unknown merge case tag {case!r}")
 
 
@@ -451,8 +445,8 @@ def _solve_merge_core(
     p1, s1 = in1
     p2, s2 = in2
     geom = merge_geometry(in1, in2, out)
-    delta1 = float(fd.demand(p1, s1.rho, geom.w1))
-    delta2 = float(fd.demand(p2, s2.rho, geom.w2))
+    delta1 = fd.demand(p1, s1.rho, geom.w1)
+    delta2 = fd.demand(p2, s2.rho, geom.w2)
 
     # Step 1: the outflow allowed if the priority split were enforced exactly.
     s_p = sigma_tilde(geom, priority)
@@ -522,7 +516,7 @@ def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> Junct
     fl, demands = _merge(in1, in2, out, priority)
     p3, s3 = out
     w_mix = fl.w_out[0]
-    sigma3 = float(fd.supply(p3, modified_density(p3, w_mix, s3.v), w_mix))
+    sigma3 = fd.supply(p3, modified_density(p3, w_mix, s3.v), w_mix)
     return _with_traces(fl, (in1, in2), (out,), demands, (sigma3,))
 
 
@@ -551,7 +545,7 @@ def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> Junct
     else:
         fl, _, _ = _diverge(inc[0], out, spec.alphas)
     for (p, _), q, w in zip(inc + out, fl.q_in + fl.q_out, fl.w_in + fl.w_out):
-        _check_capacity(p, w, q)
+        _check_capacity(p, w, q, fd._sonic_point(p, w))
     return fl
 
 
@@ -584,13 +578,13 @@ def _first_family_speeds(p: RoadParams, w: float, rho_l: float, rho_r: float):
     """Speed range of the first-family wave connecting two states on {w = const}."""
     if abs(rho_r - rho_l) <= 1e-11 * max(1.0, p.rho_max):
         return None
-    f_l = rho_l * (w - float(fd.pressure(p, rho_l)))
-    f_r = rho_r * (w - float(fd.pressure(p, rho_r)))
+    f_l = rho_l * (w - fd._pressure(p, rho_l))
+    f_r = rho_r * (w - fd._pressure(p, rho_r))
     if rho_r > rho_l:  # shock
         s = (f_r - f_l) / (rho_r - rho_l)
         return s, s
     # rarefaction: edge speeds, lambda_1 decreasing in rho
-    return float(fd.lambda1(p, rho_l, w)), float(fd.lambda1(p, rho_r, w))
+    return fd.lambda1(p, rho_l, w), fd.lambda1(p, rho_r, w)
 
 
 def check_admissibility(
@@ -607,7 +601,7 @@ def check_admissibility(
     for j, (p, s0) in enumerate(zip(spec.outgoing, states[n:])):
         tol = 1e-6 * max(1.0, p.v_ref)
         w = sol.w_out[j]
-        rho_t = float(modified_density(p, w, s0.v))
+        rho_t = modified_density(p, w, s0.v)
         speeds = _first_family_speeds(p, w, sol.boundary_out[j].rho, rho_t)
         if speeds is not None and speeds[0] < -tol:
             report.violations.append((f"out{j}", "first-family", speeds[0]))

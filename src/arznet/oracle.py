@@ -40,12 +40,12 @@ class MergeContext:
     @cached_property
     def delta1(self) -> float:
         p, s = self.in1
-        return float(fd.demand(p, s.rho, self.w1))
+        return fd.demand(p, s.rho, self.w1)
 
     @cached_property
     def delta2(self) -> float:
         p, s = self.in2
-        return float(fd.demand(p, s.rho, self.w2))
+        return fd.demand(p, s.rho, self.w2)
 
 
 def supply_at(ctx: MergeContext, q1, q2):
@@ -53,27 +53,27 @@ def supply_at(ctx: MergeContext, q1, q2):
 
     Computed from the demand/supply primitives (modified density then supply),
     not from the ratio-parameterized closed form of the analytic solver.
+    Python floats in give a Python float out; arrays give an array.
     """
     p3, s3 = ctx.out
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
     total = q1 + q2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w_mix = np.where(total > 0, (q1 * ctx.w1 + q2 * ctx.w2) / np.where(total > 0, total, 1.0), ctx.w2)
+    if isinstance(total, (int, float)):
+        w_mix = (q1 * ctx.w1 + q2 * ctx.w2) / total if total > 0 else ctx.w2
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w_mix = np.where(total > 0, (q1 * ctx.w1 + q2 * ctx.w2) / np.where(total > 0, total, 1.0), ctx.w2)
     rho_t = modified_density(p3, w_mix, s3.v)
     return fd.supply(p3, rho_t, w_mix)
 
 
 def feasible(ctx: MergeContext, q1, q2, tol: float | None = None):
-    """Membership in the admissible flux set (demand caps and mixed supply cap)."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
+    """Membership in the admissible flux set (demand caps and mixed supply cap): bool or bool array."""
     if tol is None:
         tol = flux_tol(max(ctx.delta1, ctx.delta2))
     ok = (q1 >= -tol) & (q2 >= -tol)
     ok &= (q1 <= ctx.delta1 + tol) & (q2 <= ctx.delta2 + tol)
     ok &= q1 + q2 <= supply_at(ctx, q1, q2) + tol
-    return ok if ok.ndim else bool(ok)
+    return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
 @dataclass
@@ -92,6 +92,12 @@ class FeasibleSample:
         return np.column_stack([self.q1_axis[ii], self.q2_axis[jj]])
 
 
+# Rows of the grid tested for feasibility at a time. The test holds about ten
+# temporaries of the block's size: 20 MB for a whole 512 x 512 grid, 5 MB for
+# 128 rows. Each element takes the same operations either way.
+_GRID_ROWS = 128
+
+
 def sample_pareto(ctx: MergeContext, n: int = 512) -> FeasibleSample:
     """n x n grid over [0, Delta1] x [0, Delta2] with dominance filtering."""
     if n < 100:
@@ -99,8 +105,10 @@ def sample_pareto(ctx: MergeContext, n: int = 512) -> FeasibleSample:
     d1, d2 = ctx.delta1, ctx.delta2
     q1_axis = np.linspace(0.0, d1, n)
     q2_axis = np.linspace(0.0, d2, n)
-    q1g, q2g = np.meshgrid(q1_axis, q2_axis, indexing="ij")
-    feas = np.asarray(feasible(ctx, q1g, q2g))
+    feas = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _GRID_ROWS):
+        rows = slice(lo, lo + _GRID_ROWS)
+        feas[rows] = feasible(ctx, *np.meshgrid(q1_axis[rows], q2_axis, indexing="ij"))
 
     # A grid point is dominated iff some feasible point has strictly larger
     # indices in both coordinates (grid steps exceed the flux tolerance).

@@ -164,10 +164,9 @@ def interface_flux(left: jn.Branch, right: jn.Branch) -> tuple[float, float]:
     """Godunov flux at a cell interface: (mass flux, momentum flux)."""
     p_l, s_l = left
     p_r, s_r = right
-    p_rho = float(fd._pressure(p_l, s_l.rho))
+    p_rho = fd._pressure(p_l, s_l.rho)
     w_l = s_l.v + p_rho if s_l.rho >= fd.VACUUM_RHO else s_l.v
-    de, su = jn.demand_supply(p_l, s_l.rho, p_rho, w_l, p_r, s_r.v)
-    q = float(min(de, su))
+    q = min(jn.demand_supply(p_l, s_l.rho, p_rho, w_l, p_r, s_r.v))
     return q, w_l * q
 
 

@@ -72,6 +72,20 @@ class TestCliCommands:
         assert "kind: merge" in out
         assert "ratio:" in out
 
+    def test_solve_prints_merge_case_after_ratio(self, merge_file, tmp_path, capsys):
+        assert cli.main(["solve", "--scenario", str(merge_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4:6] == ["ratio: 0.500000 (1 - ratio: 0.500000)", "case: E1"]
+        assert len(lines) == 9  # kind, three branches, ratio, case, three boundaries
+        doc = json.loads(json.dumps(MERGE_DOC))
+        doc["roads"] = doc["roads"][:2]
+        doc["junctions"] = [{"kind": "one_to_one", "in": ["r1"], "out": ["r2"]}]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--scenario", str(path)]) == 0
+        assert not any(line.startswith(("ratio:", "case:"))
+                       for line in capsys.readouterr().out.splitlines())
+
     def test_simulate_writes_outputs(self, merge_file, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main(["simulate", "--scenario", str(merge_file), "--out", str(out)])

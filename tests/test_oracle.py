@@ -50,6 +50,16 @@ class TestParetoSample:
         with pytest.raises(ValueError):
             oracle.sample_pareto(rand_context(rng), n=50)
 
+    @pytest.mark.parametrize("n", [100, 333, 512])
+    def test_grid_in_row_blocks_equals_one_call(self, n):
+        """The blocked feasibility test gives the grid of one call on the whole meshgrid."""
+        rng = np.random.default_rng(113)
+        for _ in range(3):
+            ctx = rand_context(rng)
+            sample = oracle.sample_pareto(ctx, n=n)
+            q1g, q2g = np.meshgrid(sample.q1_axis, sample.q2_axis, indexing="ij")
+            np.testing.assert_array_equal(sample.feasible, oracle.feasible(ctx, q1g, q2g))
+
     def test_pareto_subset_of_feasible(self):
         rng = np.random.default_rng(107)
         sample = oracle.sample_pareto(rand_context(rng), n=128)
