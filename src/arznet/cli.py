@@ -91,7 +91,7 @@ def cmd_capacity_drop(args) -> int:
 
     rows = []
     for q2_desired in sweep:
-        rho2 = float(fd.equilibrium_density(road2.params, q2_desired))
+        rho2 = fd.equilibrium_density(road2.params, q2_desired)
         roads = [r if r.road_id != road2.road_id else
                  scenario.RoadSpec(r.road_id, r.params, r.length, r.cells, rho2)
                  for r in sc.roads]

@@ -198,7 +198,9 @@ def equilibrium_density(p: RoadParams, q: float) -> float:
     q_cap = p.v_ref * p.rho_max / 4.0
     if q > q_cap:
         raise ValueError(f"flux {q} exceeds the equilibrium capacity {q_cap}")
-    return 0.5 * (p.rho_max - np.sqrt(p.rho_max**2 - 4.0 * p.rho_max * q / p.v_ref))
+    # at q = q_cap the discriminant is 0, but can round below it
+    disc = max(p.rho_max**2 - 4.0 * p.rho_max * q / p.v_ref, 0.0)
+    return 0.5 * (p.rho_max - math.sqrt(disc))
 
 
 def equilibrium_state(p: RoadParams, rho: float) -> TrafficState:

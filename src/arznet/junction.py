@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fundamental as fd
 from .fundamental import RoadParams, TrafficState
-from .rootfind import SolverFailure, bisect
+from .rootfind import SolverFailure, bisect, newton
 
 # One branch of a junction: the road's parameters plus the Riemann datum on it.
 Branch = tuple[RoadParams, TrafficState]
@@ -176,24 +176,28 @@ def reconstruct_boundary_state(
     q = min(q, cap)
     rho_tiny = 1e-12 * max(1.0, p.rho_max)
 
-    def flux(rho):
-        # unchecked: the brackets below are non-negative
-        return rho * (w - fd._pressure(p, rho))
+    def fdf(rho):
+        # the flux is concave on {w = const}; its slope w - (1 + gamma) p(rho)
+        # shares p(rho) with it; unchecked: the brackets below are non-negative
+        p_rho = fd._pressure(p, rho)
+        return rho * (w - p_rho) - q, w - (1.0 + p.gamma) * p_rho
 
     if side == "incoming":
         if bound_active:
             rho = ref_state.rho if ref_state.rho <= sigma + rho_tiny else sigma
         else:
-            # congested root: flux decreases from capacity at sigma to 0 at p^-1(w)
-            rho_jam = fd.pressure_inv(p, w) if w > 0 else 0.0
-            rho = bisect(lambda r: flux(r) - q, sigma, max(rho_jam, sigma), tol)
+            # congested root: flux decreases from capacity at sigma to 0 at p^-1(w),
+            # where the iteration starts
+            rho_jam = max(fd.pressure_inv(p, w), sigma)
+            rho = newton(fdf, rho_jam, sigma, rho_jam, tol)
     else:
         rho_t = modified_density(p, w, ref_state.v)
         if bound_active:
             rho = rho_t if rho_t > sigma else sigma
         else:
-            # free-flow root: flux increases from 0 at vacuum to capacity at sigma
-            rho = bisect(lambda r: flux(r) - q, 0.0, sigma, tol) if sigma > 0 else 0.0
+            # free-flow root: flux increases from 0 at vacuum, where the iteration
+            # starts, to capacity at sigma
+            rho = newton(fdf, 0.0, 0.0, sigma, tol)
 
     v = max(w - fd._pressure(p, rho), 0.0)
     return TrafficState(rho=rho, v=v)

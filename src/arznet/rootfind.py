@@ -1,4 +1,4 @@
-"""Scalar bisection with explicit failure diagnostics."""
+"""Scalar root finders with explicit failure diagnostics."""
 
 from __future__ import annotations
 
@@ -41,4 +41,36 @@ def bisect(f, a: float, b: float, tol: float, max_iter: int = MAX_ITER) -> float
     raise SolverFailure(
         "bisection did not converge", a=a, b=b, fa=fa, fb=fb,
         tol=tol, max_iter=max_iter,
+    )
+
+
+def newton(fdf, x0: float, lo: float, hi: float, tol: float, max_iter: int = MAX_ITER) -> float:
+    """Root of ``f`` on [lo, hi] by Newton's method from the bracket end ``x0``.
+
+    ``fdf(x)`` returns ``(f(x), f'(x))``. Meant for a monotone ``f`` that is
+    concave or convex on the bracket, started from the end on whose side
+    every tangent undershoots: the iterates then approach the root from one
+    side and never overshoot it. Converges on |f| <= tol, then takes one more
+    step if it stays in [lo, hi], which lands on the root rather than anywhere
+    inside the tolerance band. A step that leaves the bracket before
+    convergence, or ``max_iter`` steps without it, raises SolverFailure.
+    """
+    x = x0
+    fx, dfx = fdf(x)
+    for _ in range(max_iter):
+        # a zero slope sends the step out of the bracket (NaN compares false)
+        step = x - fx / dfx if dfx else float("nan")
+        inside = lo <= step <= hi
+        if abs(fx) <= tol:
+            return step if inside else x
+        if not inside:
+            raise SolverFailure(
+                "Newton step left the bracket", x=x, f=fx, df=dfx, step=step,
+                lo=lo, hi=hi, tol=tol,
+            )
+        x = step
+        fx, dfx = fdf(x)
+    raise SolverFailure(
+        "Newton iteration did not converge", x=x, f=fx, df=dfx,
+        lo=lo, hi=hi, tol=tol, max_iter=max_iter,
     )

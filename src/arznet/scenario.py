@@ -94,7 +94,7 @@ def parse(data: dict) -> Scenario:
             rho0 = float(entry["rho0"])
         else:
             try:
-                rho0 = float(fd.equilibrium_density(params, float(entry["q_desired"])))
+                rho0 = fd.equilibrium_density(params, float(entry["q_desired"]))
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
         _require(0.0 <= rho0 <= params.rho_max,

@@ -20,6 +20,17 @@ MERGE_DOC = {
 }
 
 
+# a road on which rho_max^2 - 4 rho_max q / v_ref rounds below 0 at its capacity q
+CAP_ROAD = {"rho_max": 31.473, "v_ref": 41.983, "gamma": 1.2}
+CAP_Q = 330.33273975  # v_ref * rho_max / 4
+
+
+def at_capacity_doc(q_desired):
+    doc = json.loads(json.dumps(MERGE_DOC))
+    doc["roads"][1].update(CAP_ROAD, q_desired=q_desired)
+    return doc
+
+
 @pytest.fixture
 def merge_file(tmp_path):
     path = tmp_path / "merge.json"
@@ -57,6 +68,10 @@ class TestScenarioParsing:
         doc["sim"][key] = float("nan")
         with pytest.raises(scenario.ScenarioError, match=key):
             scenario.parse(doc)
+
+    def test_q_desired_at_capacity(self):
+        sc = scenario.parse(at_capacity_doc(CAP_Q))
+        assert sc.roads[1].rho0 == 0.5 * CAP_ROAD["rho_max"]
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -109,6 +124,18 @@ class TestCliCommands:
         rows = (out / "capacity_drop.csv").read_text().splitlines()
         assert rows[0].startswith("desired1,")
         assert len(rows) == 4
+
+    def test_capacity_drop_sweep_at_capacity(self, tmp_path, capsys):
+        path = tmp_path / "cap_road.json"
+        path.write_text(json.dumps(at_capacity_doc(100.0)))
+        out = tmp_path / "cap"
+        code = cli.main([
+            "capacity-drop", "--scenario", str(path),
+            "--sweep", str(CAP_Q), "--direct", "--out", str(out),
+        ])
+        assert code == 0
+        rows = (out / "capacity_drop.csv").read_text().splitlines()
+        assert len(rows) == 2 and "nan" not in rows[1]
 
     def test_pareto_dump(self, merge_file, tmp_path, capsys):
         out = tmp_path / "pareto"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,3 +203,18 @@ class TestEquilibrium:
     def test_over_capacity_rejected(self):
         with pytest.raises(ValueError):
             fd.equilibrium_density(ROAD1, 1e6)
+
+    def test_capacity_is_half_the_jam_density(self):
+        # rho_max^2 - 4 rho_max q / v_ref rounds to -1.1e-13 on this road at q = v_ref rho_max / 4
+        p = RoadParams(rho_max=31.473, v_ref=41.983, gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = fd.equilibrium_density(p, p.v_ref * p.rho_max / 4.0)
+        assert type(rho) is float and rho == 0.5 * p.rho_max
+
+    def test_capacity_on_random_roads(self):
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            p = rand_params(rng)
+            rho = fd.equilibrium_density(p, p.v_ref * p.rho_max / 4.0)
+            assert rho == pytest.approx(0.5 * p.rho_max, rel=1e-6)

@@ -1,12 +1,24 @@
-"""The junction solvers pinned to outputs recorded before their scalar paths left numpy.
+"""The junction solvers pinned to recorded outputs and to the exact roots of their traces.
 
 ``tests/data/golden_solve.json`` holds seeded random 1-to-1, diverge and merge
 instances in the ranges of acceptance criterion 10 (road parameters, states,
 assignment rates or priority), each with what ``solve`` returned for it:
 fluxes, attributes, the merge ratio and case tag, and the boundary traces.
-``record()`` wrote it with the solvers of commit 4d446ce, which evaluated
-every scalar through numpy. Merges were kept two per case tag, in draw order,
-so that the mirrored and the attribute-gap cases are all represented.
+``record()`` first wrote it with the solvers of commit 4d446ce, which
+evaluated every scalar through numpy. Merges were kept two per case tag, in
+draw order, so that the mirrored and the attribute-gap cases are all
+represented.
+
+A trace the solver root-finds (its bound inactive) is pinned to the exact
+root of rho (w - p(rho)) = q on its branch, computed at 50 digits with
+mpmath and rounded, with v = max(w - p(rho), 0): not to wherever an iteration
+happened to stop inside its tolerance band. Fluxes, attributes, ratios, case
+tags and the traces of active bounds are as ``solve`` returns them.
+Regenerate the file with::
+
+    PYTHONPATH=src python tests/test_golden_solve.py
+
+which needs mpmath (the ``test`` extra); the tests only read the JSON.
 
 Numbers are compared at a relative 1e-12, not byte for byte, because the
 power function of the C library may round differently on another host.
@@ -14,10 +26,12 @@ power function of the C library may round differently on another host.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
@@ -25,6 +39,7 @@ from arznet.junction import JunctionKind, JunctionSpec
 FIXTURE = Path(__file__).parent / "data" / "golden_solve.json"
 RTOL = 1e-12
 SEED = 20170
+DIGITS = 50
 PER_KIND = 20
 MERGE_DRAWS = 2000
 PER_CASE = 2
@@ -68,8 +83,54 @@ def _solution(inst) -> dict:
     return out
 
 
+def _exact_trace(p: RoadParams, w: float, q: float, side: str) -> list[float]:
+    """Root of rho (w - p(rho)) = q on the branch of ``side``, at DIGITS digits, as floats.
+
+    The incoming side takes the congested root in [sigma, p^-1(w)], the
+    outgoing side the free-flow root in [0, sigma]; q is capped at the
+    capacity as the solver caps it, and a q above the exact capacity gives sigma.
+    """
+    import mpmath  # only the recorder needs it
+
+    q = min(q, fd.capacity(p, w))
+    with mpmath.workdps(DIGITS):
+        rho_max, v_ref, gamma, w, q = map(mpmath.mpf, (p.rho_max, p.v_ref, p.gamma, w, q))
+
+        def pressure(rho):
+            return v_ref / gamma * (rho / rho_max) ** gamma
+
+        sigma = rho_max * (w * gamma / (v_ref * (1 + gamma))) ** (1 / gamma)
+        rho_jam = rho_max * (gamma * w / v_ref) ** (1 / gamma)
+        increasing = side == "outgoing"
+        lo, hi = (mpmath.mpf(0), sigma) if increasing else (sigma, rho_jam)
+        for _ in range(4 * DIGITS):  # 2^-200 of the bracket
+            mid = (lo + hi) / 2
+            if (mid * (w - pressure(mid)) < q) == increasing:
+                lo = mid
+            else:
+                hi = mid
+        rho = (lo + hi) / 2
+        return [float(rho), float(max(w - pressure(rho), 0))]
+
+
+def _recorded(inst) -> dict:
+    """``_solution``, with every root-found trace replaced by its exact root."""
+    with mock.patch.object(jc, "reconstruct_boundary_state",
+                           wraps=jc.reconstruct_boundary_state) as spy:
+        out = _solution(inst)
+    # _with_traces reconstructs the incoming traces first, each with its bound flag
+    traces = out["boundary_in"] + out["boundary_out"]
+    for i, call in enumerate(spy.call_args_list):
+        p, w, q, side, _, bound_active = call.args
+        if not bound_active:
+            traces[i] = _exact_trace(p, w, q, side)
+    n = len(out["boundary_in"])
+    out["boundary_in"], out["boundary_out"] = traces[:n], traces[n:]
+    return out
+
+
 def record(path=FIXTURE) -> None:
-    """Draw the instances and write them with the solutions of the solvers as they stand."""
+    """Draw the instances and write them with their solutions and exact root-found traces."""
     rng = np.random.default_rng(SEED)
     instances = [_draw(rng, kind) for kind in (JunctionKind.ONE_TO_ONE, JunctionKind.DIVERGE)
                  for _ in range(PER_KIND)]
@@ -81,7 +142,7 @@ def record(path=FIXTURE) -> None:
             per_case[case] = per_case.get(case, 0) + 1
             instances.append(inst)
     for inst in instances:
-        inst["solution"] = _solution(inst)
+        inst["solution"] = _recorded(inst)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(instances, indent=1) + "\n")
 
@@ -106,3 +167,7 @@ def test_solve_matches_recorded(inst):
         assert got["ratio"] is None
     else:
         np.testing.assert_allclose(got["ratio"], want["ratio"], rtol=RTOL, atol=0)
+
+
+if __name__ == "__main__":
+    record()

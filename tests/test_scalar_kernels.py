@@ -79,6 +79,14 @@ def test_fundamental_kernels(case):
     check(fd.lambda1, p, rho, c)
 
 
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(params, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_equilibrium_density(p, fraction):
+    # fraction 1 is the capacity, where the discriminant may round below 0
+    rho = check(fd.equilibrium_density, p, fraction * (p.v_ref * p.rho_max / 4.0))
+    assert 0.0 <= rho <= 0.5 * p.rho_max
+
+
 @st.composite
 def one_to_one_edge(draw):
     """Left road and state, right road and speed; the speed may exceed the attribute."""
