@@ -30,9 +30,7 @@ from .junction import (
     modified_density,
     sigma_tilde,
     solve,
-    solve_diverge,
     solve_merge,
-    solve_one_to_one,
 )
 from .rootfind import SolverFailure
 
@@ -59,9 +57,7 @@ __all__ = [
     "modified_density",
     "sigma_tilde",
     "solve",
-    "solve_diverge",
     "solve_merge",
-    "solve_one_to_one",
     "SolverFailure",
 ]
 

@@ -1,11 +1,14 @@
 """Riemann solvers at road junctions: 1-to-1, 1-to-m diverge, 2-to-1 priority merge.
 
-Couplings conserve mass and the momentum flow q*w.  The incoming Lagrangian
-attributes mix at a merge as a flux-weighted convex combination, which makes the
-downstream supply depend on the flux split itself; the merge solver resolves
-this with a two-step construction (priority-enforced split, then projection
-onto the Pareto front of the admissible flux set by clamped fixed points, each a
-bracketed scalar root).
+Couplings conserve mass and the momentum flow q*w.  Junctions with one
+incoming road share one kernel: a 1-to-1 junction is the 1-to-m diverge with
+m = 1 and assignment rate 1.  The incoming Lagrangian attributes mix at a
+merge as a flux-weighted convex combination, which makes the downstream supply
+depend on the flux split itself; the merge solver resolves this with a
+two-step construction (priority-enforced split, then projection onto the
+Pareto front of the admissible flux set by clamped fixed points, each a
+bracketed scalar root).  ``solve`` and ``junction_fluxes`` branch only on
+merge against single inflow.
 """
 
 from __future__ import annotations
@@ -229,48 +232,26 @@ def _with_traces(
 # Junctions with a single incoming road
 # ---------------------------------------------------------------------------
 
-def _one_to_one(incoming: Branch, outgoing: Branch):
-    """1-to-1 fluxes, with the incoming demand and the outgoing supply."""
+def _single_inflow(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]):
+    """1-to-m fluxes, with the incoming demand and the outgoing supplies.
+
+    A 1-to-1 junction is the case m = 1 with alpha = 1, for which the
+    division, the products and the one-term sum below are exact.
+    """
     p1, s1 = incoming
-    p2, s2 = outgoing
     p_rho = fd._pressure(p1, s1.rho)
     w1 = s1.v + p_rho  # fd.attribute(p1, s1), sharing p(rho) with the demand
-    d1, s2_sup = demand_supply(p1, s1.rho, p_rho, w1, p2, s2.v)
-    q = min(d1, s2_sup)
-    return JunctionFluxes(q_in=(q,), q_out=(q,), w_in=(w1,), w_out=(w1,)), (d1,), (s2_sup,)
-
-
-def _diverge(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]):
-    """Diverge fluxes, with the incoming demand and the outgoing supplies."""
-    p1, s1 = incoming
-    w1 = fd.attribute(p1, s1)
-    d1 = fd.demand(p1, s1.rho, w1)
-    supplies = [fd.supply(pj, modified_density(pj, w1, sj.v), w1) for pj, sj in outgoings]
-    q1 = min(d1, min(s / a for s, a in zip(supplies, alphas)))
+    supplies = []
+    q1 = math.inf
+    for (pj, sj), a in zip(outgoings, alphas):
+        d1, sup = demand_supply(p1, s1.rho, p_rho, w1, pj, sj.v)
+        supplies.append(sup)
+        q1 = min(q1, sup / a)
+    q1 = min(d1, q1)
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
     fl = JunctionFluxes(q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out))
     return fl, (d1,), supplies
-
-
-def solve_one_to_one(incoming: Branch, outgoing: Branch) -> JunctionSolution:
-    """Flux-maximizing coupling across a spatial discontinuity (1-to-1 junction)."""
-    fl, demands, supplies = _one_to_one(incoming, outgoing)
-    return _with_traces(fl, (incoming,), (outgoing,), demands, supplies)
-
-
-def solve_diverge(
-    incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]
-) -> JunctionSolution:
-    """1-to-m diverge with fixed assignment rates; attribute w_1 enters every branch."""
-    if len(outgoings) != len(alphas):
-        raise ValueError("one assignment rate per outgoing road is required")
-    if any(not 0.0 < a < 1.0 for a in alphas):
-        raise ValueError(
-            f"degenerate assignment rate in {tuple(alphas)}: collapse to a 1-to-1 junction"
-        )
-    fl, demands, supplies = _diverge(incoming, outgoings, alphas)
-    return _with_traces(fl, (incoming,), outgoings, demands, supplies)
 
 
 # ---------------------------------------------------------------------------
@@ -411,104 +392,75 @@ def _clamped_fixed_point(
     return regula_falsi(h, floor, cap, h_floor, h_cap, tol)
 
 
-def fixed_point_ratio(
-    geom: MergeGeometry,
-    case: str,
-    delta1: float,
-    delta2: float,
-    q1_tilde: float,
-    q2_tilde: float,
-    q1_star: float | None = None,
-    q2_star: float | None = None,
-) -> tuple[float, float]:
-    """Flux pair solving the min/max system of one merge case.
-
-    Case tags: E1-E3 for the single-attribute-like ("easy") construction,
-    H1a/H1b/H2a/H2b/H2c for the attribute-gap construction with the stationary
-    ratio of q1 active.  Mirrored cases (positive attribute gap) are handled by
-    the caller through index swapping.  E2/H1b/H2b fix q1 = delta1 and E3/H2a/H2c
-    fix q2 = delta2; only the floor of the free coordinate differs.
-    """
-    s_scale = max(1.0, delta1, delta2, q1_tilde + q2_tilde)
-    # resolve the fixed point well inside the flux tolerance used for comparisons
-    tol = 1e-4 * flux_tol(s_scale)
-    p_default = q1_tilde / (q1_tilde + q2_tilde) if q1_tilde + q2_tilde > 0 else 0.5
-
-    if case == "E1":
-        return q1_tilde, q2_tilde
-    if case == "H1a":
-        assert q1_star is not None and q2_star is not None
-        return q1_star, q2_star
-    if case in ("E2", "H1b", "H2b"):
-        floor = q2_tilde if case == "E2" else q2_star
-        assert floor is not None
-        # a floor at or above delta2 returns delta2 (H2b's saturated case)
-        return delta1, _clamped_fixed_point(geom, delta1, True, floor, delta2, p_default, tol)
-    if case in ("E3", "H2a", "H2c"):
-        return _clamped_fixed_point(geom, delta2, False, q1_tilde, delta1, p_default, tol), delta2
-    raise ValueError(f"unknown merge case tag {case!r}")
-
-
 def _solve_merge_core(
-    in1: Branch, in2: Branch, out: Branch, priority: float
-) -> tuple[float, float, float, float, str]:
-    """Two-step merge construction for a non-positive attribute gap (w1 <= w2)."""
-    p1, s1 = in1
-    p2, s2 = in2
-    geom = merge_geometry(in1, in2, out)
-    delta1 = fd.demand(p1, s1.rho, geom.w1)
-    delta2 = fd.demand(p2, s2.rho, geom.w2)
+    geom: MergeGeometry, delta1: float, delta2: float, priority: float
+) -> tuple[float, float, str]:
+    """Two-step merge construction for a non-positive attribute gap (w1 <= w2).
 
-    # Step 1: the outflow allowed if the priority split were enforced exactly.
-    s_p = sigma_tilde(geom, priority)
+    Returns the fluxes and the case tag: E1-E3 for the single-attribute-like
+    ("easy") construction, H1a/H1b/H2a/H2b/H2c for the attribute-gap
+    construction with the stationary ratio P* of q1 active.  Mirrored cases
+    (positive attribute gap) are handled by the caller through index swapping.
+    E2/H1b/H2b fix q1 = delta1 and E3/H2a/H2c fix q2 = delta2; only the floor
+    of the free coordinate differs.
+    """
+    # Step 1: the outflow allowed if the priority split were enforced exactly;
+    # the priority lies in ]0,1[ (JunctionSpec, solve_merge).
+    s_p = _sigma_tilde_unchecked(geom, priority)
     f_p = min(delta1 / priority, delta2 / (1.0 - priority), s_p)
     q1_tilde = priority * f_p
     q2_tilde = (1.0 - priority) * f_p
     tol = flux_tol(max(1.0, delta1, delta2, s_p))
+    supply_binds = s_p <= f_p + tol
+    # the exact minimum, not one within tol of it: fixing q1 = delta1 (E2, H2b)
+    # can exceed the supply by up to tol where demand 2 binds
+    demand1_binds = delta1 / priority <= delta2 / (1.0 - priority)
 
-    gap_zero = geom.p_star is None
-    easy = gap_zero or priority <= geom.p_star
+    # Step 2: resolve the fixed points well inside the flux tolerance used for comparisons
+    fp_tol = 1e-4 * flux_tol(max(1.0, delta1, delta2, q1_tilde + q2_tilde))
+    p_default = q1_tilde / (q1_tilde + q2_tilde) if q1_tilde + q2_tilde > 0 else 0.5
 
-    def binding() -> str:
-        if s_p <= f_p + tol:
-            return "supply"
-        if delta1 / priority <= f_p + tol / priority:
-            return "demand1"
-        return "demand2"
+    def fix_q1(floor, case):
+        # a floor at or above delta2 returns delta2 (H2b's saturated case)
+        q2 = _clamped_fixed_point(geom, delta1, True, floor, delta2, p_default, fp_tol)
+        return delta1, q2, case
 
-    if easy:
-        case = {"supply": "E1", "demand1": "E2", "demand2": "E3"}[binding()]
-        q1, q2 = fixed_point_ratio(geom, case, delta1, delta2, q1_tilde, q2_tilde)
-    else:
-        s_star = sigma_tilde(geom, geom.p_star)
-        q1_star = geom.p_star * s_star
-        q2_star = (1.0 - geom.p_star) * s_star
-        b = binding()
-        if b == "supply" and q2_star <= delta2 + tol:
-            case = "H1a" if q1_star <= delta1 + tol else "H1b"
-        elif b == "supply":
-            case = "H2a"
-        elif b == "demand1":
-            case = "H2b"
-        else:
-            case = "H2c"
-        q1, q2 = fixed_point_ratio(
-            geom, case, delta1, delta2, q1_tilde, q2_tilde, q1_star, q2_star
-        )
+    def fix_q2(case):
+        q1 = _clamped_fixed_point(geom, delta2, False, q1_tilde, delta1, p_default, fp_tol)
+        return q1, delta2, case
 
-    return q1, q2, delta1, delta2, case
+    if geom.p_star is None or priority <= geom.p_star:
+        if supply_binds:
+            return q1_tilde, q2_tilde, "E1"
+        return fix_q1(q2_tilde, "E2") if demand1_binds else fix_q2("E3")
+    # here 0 <= P* < priority, since the attribute gap is non-positive
+    s_star = _sigma_tilde_unchecked(geom, geom.p_star)
+    q1_star = geom.p_star * s_star
+    q2_star = (1.0 - geom.p_star) * s_star
+    if not supply_binds:
+        return fix_q1(q2_star, "H2b") if demand1_binds else fix_q2("H2c")
+    if q2_star > delta2 + tol:
+        return fix_q2("H2a")
+    if q1_star > delta1 + tol:
+        return fix_q1(q2_star, "H1b")
+    # the stationary split is feasible within tol; a road gets no more than its demand
+    return min(q1_star, delta1), min(q2_star, delta2), "H1a"
 
 
 def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     """Merge fluxes, with the two incoming demands."""
-    w1 = fd.attribute(*in1)
-    w2 = fd.attribute(*in2)
+    (p1, s1), (p2, s2) = in1, in2
+    w1 = fd.attribute(p1, s1)
+    w2 = fd.attribute(p2, s2)
+    delta1 = fd.demand(p1, s1.rho, w1)
+    delta2 = fd.demand(p2, s2.rho, w2)
     if not attribute_gap_is_zero(w1, w2) and w1 > w2:
         # mirrored construction: swap the incoming roads and the priority
-        q2, q1, delta2, delta1, case = _solve_merge_core(in2, in1, out, 1.0 - priority)
+        geom = merge_geometry(in2, in1, out)
+        q2, q1, case = _solve_merge_core(geom, delta2, delta1, 1.0 - priority)
         case += "'"
     else:
-        q1, q2, delta1, delta2, case = _solve_merge_core(in1, in2, out, priority)
+        q1, q2, case = _solve_merge_core(merge_geometry(in1, in2, out), delta1, delta2, priority)
 
     q3 = q1 + q2
     w_p = w2 + priority * (w1 - w2)
@@ -551,10 +503,8 @@ def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> Junct
     inc, out = _branches(spec, states)
     if spec.kind is JunctionKind.MERGE:
         fl, _ = _merge(inc[0], inc[1], out[0], spec.priority)
-    elif len(out) == 1:  # a 1-to-1 junction, or a diverge collapsed to one
-        fl, _, _ = _one_to_one(inc[0], out[0])
-    else:
-        fl, _, _ = _diverge(inc[0], out, spec.alphas)
+    else:  # a 1-to-1 junction is the diverge with alphas (1.0,)
+        fl, _, _ = _single_inflow(inc[0], out, spec.alphas or (1.0,))
     for (p, _), q, w in zip(inc + out, fl.q_in + fl.q_out, fl.w_in + fl.w_out):
         _check_capacity(p, w, q, fd._sonic_point(p, w))
     return fl
@@ -565,9 +515,8 @@ def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolutio
     inc, out = _branches(spec, states)
     if spec.kind is JunctionKind.MERGE:
         return solve_merge(inc[0], inc[1], out[0], spec.priority)
-    if len(out) == 1:  # a 1-to-1 junction, or a diverge collapsed to one
-        return solve_one_to_one(inc[0], out[0])
-    return solve_diverge(inc[0], out, spec.alphas)
+    fl, demands, supplies = _single_inflow(inc[0], out, spec.alphas or (1.0,))
+    return _with_traces(fl, inc, out, demands, supplies)
 
 
 # ---------------------------------------------------------------------------

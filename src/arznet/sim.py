@@ -107,14 +107,16 @@ class Network:
         return (road_id, end) not in self._junction_ends
 
 
+STEADY_WINDOW = 100    # consecutive steps below steady_tol that make a run steady
+MAX_STEPS = 1_000_000
+
+
 @dataclass
 class SimConfig:
     t_end: float                 # [h]
     cfl: float = 0.5
     output_stride: int = 10
     steady_tol: float = 1e-6     # relative junction-flux change
-    steady_window: int = 100     # consecutive steps below tolerance
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
@@ -305,7 +307,7 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
     steady = False
     prev = None
     jf = {}
-    while t < cfg.t_end * (1.0 - 1e-12) and steps < cfg.max_steps:
+    while t < cfg.t_end * (1.0 - 1e-12) and steps < MAX_STEPS:
         cells = {rid: _cells(road) for rid, road in network.roads.items()}
         for rid, c in cells.items():
             if not math.isfinite(c.speed):
@@ -331,7 +333,7 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
                 change = float(np.max(np.abs(cur - prev))) / max(1.0, float(np.max(np.abs(cur))))
                 steady_count = steady_count + 1 if change < cfg.steady_tol else 0
             prev = cur
-            if steady_count >= cfg.steady_window:
+            if steady_count >= STEADY_WINDOW:
                 steady = True
                 break
 

@@ -19,6 +19,7 @@ import pytest
 
 from arznet import junction as jc
 from arznet.fundamental import RoadParams, TrafficState
+from arznet.junction import JunctionKind, JunctionSpec
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,8 +98,15 @@ def quadratic_total_flux(args):
 
 
 def merge(roads, states, priority):
-    """The merge's fluxes, without the capacity check that ``junction_fluxes`` adds."""
-    return jc._merge(*zip(roads, states), priority)
+    """The merge through ``junction_fluxes`` and ``solve``, whose fluxes agree.
+
+    Both entry points check every flux against its capacity, and each makes
+    the merge's fixed-point call, if any, once: a recorded call comes in pairs.
+    """
+    spec = JunctionSpec(JunctionKind.MERGE, tuple(roads[:2]), (roads[2],), priority=priority)
+    fl = jc.junction_fluxes(spec, states)
+    assert jc.solve(spec, states).q_in == fl.q_in
+    return fl
 
 
 gammas = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.5, 4.0))
@@ -165,10 +173,10 @@ def test_criterion_10_merges_take_few_evaluations():
         check_fixed_point(args, x)
         assert evals <= MAX_EVALS
     inside = interior(calls)
-    # bisection took about 43 evaluations per interior fixed point
-    assert len(inside) > 500
+    # bisection took about 43 evaluations per interior fixed point; two calls per merge
+    assert len(inside) > 2 * 500
     assert statistics.median(evals for _, _, evals in inside) <= 8
     # the branch switch at p_hat lies inside some brackets; they converge as fast
     straddling = [evals for args, _, evals in inside if straddles_p_hat(args)]
-    assert len(straddling) > 20
+    assert len(straddling) > 2 * 20
     assert max(straddling) <= MAX_EVALS

@@ -2,7 +2,7 @@
 
 ``sim.step`` evaluates every edge of a road, the two external ends included,
 in one call of ``junction.demand_supply``. Each edge must carry the flux of
-``sim.interface_flux`` and of ``junction.solve_one_to_one`` on the states on
+``sim.interface_flux`` and of ``junction.solve`` (1-to-1) on the states on
 either side of it: the frozen ghosts at the ends, the cells in between.
 """
 
@@ -74,5 +74,5 @@ def test_vector_edges_match_scalar_flux(case):
         q, mom = sim.interface_flux((p, left), (p, right))
         assert fm[i] == pytest.approx(q, rel=RTOL, abs=atol), i
         assert fy[i] == pytest.approx(mom, rel=RTOL, abs=atol * p.v_ref), i
-        sol = jc.solve_one_to_one((p, left), (p, right))
+        sol = jc.solve(jc.JunctionSpec(jc.JunctionKind.ONE_TO_ONE, (p,), (p,)), [left, right])
         assert fm[i] == pytest.approx(sol.q_in[0], rel=RTOL, abs=atol), i

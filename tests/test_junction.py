@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,15 @@ def rand_params(rng):
 
 def rand_state(rng, p):
     return TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
+
+
+def one_to_one(p1, s1, p2, s2):
+    return jc.solve(JunctionSpec(JunctionKind.ONE_TO_ONE, (p1,), (p2,)), [s1, s2])
+
+
+def diverge(p_in, s_in, outs, s_out, alphas):
+    return jc.solve(JunctionSpec(JunctionKind.DIVERGE, (p_in,), tuple(outs), alphas=alphas),
+                    [s_in, *s_out])
 
 
 class TestModifiedDensity:
@@ -43,7 +53,7 @@ class TestOneToOne:
         for _ in range(300):
             p1, p2 = rand_params(rng), rand_params(rng)
             s1, s2 = rand_state(rng, p1), rand_state(rng, p2)
-            sol = jc.solve_one_to_one((p1, s1), (p2, s2))
+            sol = one_to_one(p1, s1, p2, s2)
             w1 = fd.attribute(p1, s1)
             de = float(fd.demand(p1, s1.rho, w1))
             rho_t = jc.modified_density(p2, w1, s2.v)
@@ -55,7 +65,7 @@ class TestOneToOne:
     def test_attribute_transported(self):
         p = RoadParams(180.0, 100.0, 1.2)
         s = fd.equilibrium_state(p, 30.0)
-        sol = jc.solve_one_to_one((p, s), (p, TrafficState(10.0, fd.equilibrium_speed(p, 10.0))))
+        sol = one_to_one(p, s, p, TrafficState(10.0, fd.equilibrium_speed(p, 10.0)))
         assert sol.w_out[0] == pytest.approx(fd.attribute(p, s), rel=1e-12)
 
     def test_boundary_states_reproduce_flux(self):
@@ -63,7 +73,7 @@ class TestOneToOne:
         for _ in range(300):
             p1, p2 = rand_params(rng), rand_params(rng)
             s1, s2 = rand_state(rng, p1), rand_state(rng, p2)
-            sol = jc.solve_one_to_one((p1, s1), (p2, s2))
+            sol = one_to_one(p1, s1, p2, s2)
             b_in, b_out = sol.boundary_in[0], sol.boundary_out[0]
             q = sol.q_in[0]
             assert b_in.rho * b_in.v == pytest.approx(q, rel=1e-7, abs=1e-7)
@@ -81,7 +91,7 @@ class TestDiverge:
             a = tuple(float(x) for x in a)
             s_in = rand_state(rng, p_in)
             s_out = [rand_state(rng, p) for p in outs]
-            sol = jc.solve_diverge((p_in, s_in), list(zip(outs, s_out)), a)
+            sol = diverge(p_in, s_in, outs, s_out, a)
             q1 = sol.q_in[0]
             for j in range(3):
                 assert sol.q_out[j] == pytest.approx(a[j] * q1, rel=1e-12, abs=1e-12)
@@ -95,7 +105,7 @@ class TestDiverge:
             a = (0.3, 0.7)
             s_in = rand_state(rng, p_in)
             s_out = [rand_state(rng, p) for p in outs]
-            sol = jc.solve_diverge((p_in, s_in), list(zip(outs, s_out)), a)
+            sol = diverge(p_in, s_in, outs, s_out, a)
             w1 = fd.attribute(p_in, s_in)
             de = float(fd.demand(p_in, s_in.rho, w1))
             bounds = [de]
@@ -106,9 +116,8 @@ class TestDiverge:
 
     def test_zero_ratio_rejected(self):
         p = RoadParams(1.0, 2.0, 2.0)
-        s = TrafficState(0.5, 1.0)
-        with pytest.raises(ValueError):
-            jc.solve_diverge((p, s), [(p, s), (p, s)], (1.0, 0.0))
+        with pytest.raises(ValueError, match="assignment rates"):
+            JunctionSpec(JunctionKind.DIVERGE, (p,), (p, p), alphas=(1.0, 0.0))
 
     def test_single_outgoing_collapses_to_one_to_one(self):
         rng = np.random.default_rng(53)
@@ -117,14 +126,9 @@ class TestDiverge:
             s1, s2 = rand_state(rng, p1), rand_state(rng, p2)
             spec = JunctionSpec(JunctionKind.DIVERGE, (p1,), (p2,), alphas=(1.0,))
             a = jc.solve(spec, [s1, s2])
-            b = jc.solve_one_to_one((p1, s1), (p2, s2))
-            assert a.q_in[0] == pytest.approx(b.q_in[0], rel=1e-14)
-
-    def test_degenerate_ratio_rejected_directly(self):
-        p = RoadParams(1.0, 2.0, 2.0)
-        s = TrafficState(0.5, 1.0)
-        with pytest.raises(ValueError):
-            jc.solve_diverge((p, s), [(p, s)], (1.0,))
+            b = one_to_one(p1, s1, p2, s2)
+            for f in dataclasses.fields(a):
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
 class TestSpecValidation:
@@ -138,13 +142,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JunctionSpec(JunctionKind.DIVERGE, (p,), (p, p), alphas=(0.6, 0.6))
 
-    def test_dispatch(self):
+    def test_dispatch(self, monkeypatch):
+        """``solve`` sends merges, and only merges, through ``solve_merge``."""
         p = RoadParams(1.0, 2.0, 2.0)
         s = TrafficState(0.5, 1.0)
-        spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,))
-        sol = jc.solve(spec, [s, s])
-        ref = jc.solve_one_to_one((p, s), (p, s))
-        assert sol.q_in == ref.q_in
+        calls = []
+        solve_merge = jc.solve_merge
+        monkeypatch.setattr(jc, "solve_merge", lambda *a: calls.append(a) or solve_merge(*a))
+        merge = JunctionSpec(JunctionKind.MERGE, (p, p), (p,), priority=0.3)
+        assert jc.solve(merge, [s, s, s]) == solve_merge((p, s), (p, s), (p, s), 0.3)
+        assert calls == [((p, s), (p, s), (p, s), 0.3)]
+        jc.solve(JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,)), [s, s])
+        jc.solve(JunctionSpec(JunctionKind.DIVERGE, (p,), (p, p), alphas=(0.5, 0.5)), [s, s, s])
+        assert len(calls) == 1
 
 
 class TestAdmissibility:
@@ -159,8 +169,6 @@ class TestAdmissibility:
             assert rep.ok, rep
 
     def test_detects_bad_boundary_state(self):
-        import dataclasses
-
         p = RoadParams(180.0, 100.0, 1.2)
         s = fd.equilibrium_state(p, 30.0)
         spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,))

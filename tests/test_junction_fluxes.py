@@ -87,7 +87,7 @@ def test_capacity_guard(monkeypatch, excess, raises):
     fl = jc.junction_fluxes(spec, states)
     cap = float(fd.capacity(spec.incoming[0], fl.w_in[0]))
     over = dataclasses.replace(fl, q_in=(excess * cap,), q_out=(excess * cap,))
-    monkeypatch.setattr(jc, "_one_to_one", lambda inc, out: (over, (cap,), (cap,)))
+    monkeypatch.setattr(jc, "_single_inflow", lambda inc, outs, alphas: (over, (cap,), (cap,)))
     if raises:
         with pytest.raises(jc.InfeasibleFlux):
             jc.junction_fluxes(spec, states)

@@ -153,3 +153,53 @@ class TestRatioTracking:
             # identical incoming attributes: the split must follow the priority
             assert sol.ratio == pytest.approx(pr, abs=1e-9)
             assert sol.case == "E1"
+
+
+def _solve_both(roads, states, priority):
+    """Merge fluxes through ``junction_fluxes`` and ``solve``; the traces must be admissible."""
+    spec = jc.JunctionSpec(jc.JunctionKind.MERGE, tuple(roads[:2]), (roads[2],), priority=priority)
+    fl = jc.junction_fluxes(spec, states)
+    sol = jc.solve(spec, states)
+    assert fl == jc.JunctionFluxes(**{k: getattr(sol, k) for k in vars(fl)})
+    assert jc.check_admissibility(spec, states, sol).ok
+    return sol
+
+
+def _mirrored(roads, states, priority):
+    return [roads[1], roads[0], roads[2]], [states[1], states[0], states[2]], 1.0 - priority
+
+
+# A road at vacuum standing still (w = 0) has demand and capacity 0; the
+# outgoing road is at vacuum with speed near 0.
+H1A_VACUUM = (
+    [RoadParams(20.0, 40.0, 1.0), RoadParams(65.0, 63.0, 1.0), RoadParams(43.0, 40.0, 1.0)],
+    [TrafficState(0.0, 0.0), TrafficState(32.5, 63.0), TrafficState(0.0, 4e-8)],
+    0.5,
+)
+# Demand 0 on road 1, a demand of 1e-6 within the flux tolerance on road 2,
+# whose attribute (5e-6) gives the outgoing road a capacity of only 1.8e-11.
+DEMANDS_TIED_NEAR_VACUUM = (
+    [RoadParams(20.0, 50.0, 1.0), RoadParams(20.0, 48.0, 3.75), RoadParams(116.0, 40.0, 1.0)],
+    [TrafficState(0.0, 50.0), TrafficState(0.390625, 0.0), TrafficState(0.0, 40.0)],
+    0.75,
+)
+
+
+class TestNearVacuum:
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_h1a_gives_a_vacuum_road_no_flux(self, mirror):
+        instance = _mirrored(*H1A_VACUUM) if mirror else H1A_VACUUM
+        sol = _solve_both(*instance)
+        vacuum = 1 if mirror else 0
+        assert sol.case == ("H1a'" if mirror else "H1a")
+        assert sol.q_in[vacuum] == 0.0
+        assert sol.q_out[0] == sol.q_in[1 - vacuum] > 0.0
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_tied_demands_respect_the_outgoing_capacity(self, mirror):
+        """With both demands binding within tol, the exact minimum decides E2 against E3."""
+        instance = _mirrored(*DEMANDS_TIED_NEAR_VACUUM) if mirror else DEMANDS_TIED_NEAR_VACUUM
+        roads = instance[0]
+        sol = _solve_both(*instance)
+        assert sol.case == ("E3" if mirror else "E3'")
+        assert 0.0 < sol.q_out[0] <= fd.capacity(roads[2], sol.w_out[0])

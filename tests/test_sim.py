@@ -108,7 +108,7 @@ class TestInterfaceFlux:
             sl = TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
             sr = TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
             q, qw = sim.interface_flux((p, sl), (p, sr))
-            sol = jc.solve_one_to_one((p, sl), (p, sr))
+            sol = jc.solve(JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,)), [sl, sr])
             assert q == pytest.approx(sol.q_in[0], rel=1e-12, abs=1e-12)
             assert qw == pytest.approx(q * sol.w_in[0], rel=1e-12, abs=1e-12)
 
