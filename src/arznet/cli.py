@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 scenario/argument errors, 3 numerical solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,22 +26,22 @@ def _load_single_junction(path):
     sc = scenario.load(path)
     if len(sc.junctions) != 1:
         raise ScenarioError(f"{path}: expected exactly one junction, found {len(sc.junctions)}")
-    decl = sc.junctions[0]
-    return sc, decl, scenario.build_junction_spec(sc, decl), scenario.junction_states(sc, decl)
+    nj = sc.junctions[0]
+    return nj, scenario.junction_states(sc, nj)
 
 
 def cmd_solve(args) -> int:
-    sc, decl, spec, states = _load_single_junction(args.scenario)
-    sol = jn.solve(spec, states)
-    print(f"kind: {decl.kind.value}")
-    for rid, q, w in zip(decl.in_ids, sol.q_in, sol.w_in):
+    nj, states = _load_single_junction(args.scenario)
+    sol = jn.solve(nj.spec, states)
+    print(f"kind: {nj.spec.kind.value}")
+    for rid, q, w in zip(nj.in_ids, sol.q_in, sol.w_in):
         print(f"in  {rid}: q={q:.6f} w={w:.6f}")
-    for rid, q, w in zip(decl.out_ids, sol.q_out, sol.w_out):
+    for rid, q, w in zip(nj.out_ids, sol.q_out, sol.w_out):
         print(f"out {rid}: q={q:.6f} w_mix={w:.6f}")
     if sol.ratio is not None:
         print(f"ratio: {sol.ratio:.6f} (1 - ratio: {1 - sol.ratio:.6f})")
         print(f"case: {sol.case}")
-    for rid, b in zip(decl.in_ids + decl.out_ids, sol.boundary_in + sol.boundary_out):
+    for rid, b in zip(nj.in_ids + nj.out_ids, sol.boundary_in + sol.boundary_out):
         print(f"boundary {rid}: rho={b.rho:.6f} v={b.v:.6f}")
     return EXIT_OK
 
@@ -68,17 +69,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _merge_scenario_pieces(sc):
-    if len(sc.junctions) != 1 or sc.junctions[0].kind is not JunctionKind.MERGE:
-        raise ScenarioError("scenario must contain exactly one merge junction")
-    return sc.junctions[0]
-
-
 def cmd_capacity_drop(args) -> int:
     sc = scenario.load(args.scenario)
-    decl = _merge_scenario_pieces(sc)
-    road1 = sc.road(decl.in_ids[0])
-    road2 = sc.road(decl.in_ids[1])
+    if len(sc.junctions) != 1 or sc.junctions[0].spec.kind is not JunctionKind.MERGE:
+        raise ScenarioError("scenario must contain exactly one merge junction")
+    nj = sc.junctions[0]
+    road1 = sc.road(nj.in_ids[0])
+    road2 = sc.road(nj.in_ids[1])
     sweep = [float(v) for v in args.sweep.split(",") if v.strip() != ""]
     if not sweep:
         raise ScenarioError("empty sweep")
@@ -91,23 +88,20 @@ def cmd_capacity_drop(args) -> int:
 
     rows = []
     for q2_desired in sweep:
-        rho2 = fd.equilibrium_density(road2.params, q2_desired)
-        roads = [r if r.road_id != road2.road_id else
-                 scenario.RoadSpec(r.road_id, r.params, r.length, r.cells, rho2)
-                 for r in sc.roads]
-        sc_k = scenario.Scenario(roads=roads, junctions=sc.junctions, sim=sc.sim)
+        road2_k = dataclasses.replace(road2, rho0=fd.equilibrium_density(road2.params, q2_desired))
+        sc_k = dataclasses.replace(
+            sc, roads=[road2_k if r.road_id == road2.road_id else r for r in sc.roads])
         if args.direct:
-            spec = scenario.build_junction_spec(sc_k, decl)
-            sol = jn.solve(spec, scenario.junction_states(sc_k, decl))
+            sol = jn.solve(nj.spec, scenario.junction_states(sc_k, nj))
             q1, q2 = sol.q_in
             outflow = sol.q_out[0]
         else:
             network = scenario.build_network(sc_k)
             cfg = scenario.sim_config(sc_k, cfl=args.cfl, t_end=args.t_end)
             result = sim.run(network, cfg)
-            q1 = result.steady_fluxes[decl.in_ids[0]]
-            q2 = result.steady_fluxes[decl.in_ids[1]]
-            outflow = result.steady_fluxes[decl.out_ids[0]]
+            q1 = result.steady_fluxes[nj.in_ids[0]]
+            q2 = result.steady_fluxes[nj.in_ids[1]]
+            outflow = result.steady_fluxes[nj.out_ids[0]]
         total = q1 + q2
         r1 = q1 / total if total > 0 else float("nan")
         rows.append((desired1, q1, q2_desired, q2, outflow, r1, 1.0 - r1))
@@ -128,12 +122,11 @@ def cmd_capacity_drop(args) -> int:
 
 
 def cmd_pareto_dump(args) -> int:
-    sc, decl, spec, states = _load_single_junction(args.scenario)
-    if decl.kind is not JunctionKind.MERGE:
+    nj, states = _load_single_junction(args.scenario)
+    spec = nj.spec
+    if spec.kind is not JunctionKind.MERGE:
         raise ScenarioError("pareto-dump requires a merge scenario")
     n = args.grid
-    if n < 100:
-        raise ScenarioError(f"grid resolution must be at least 100, got {n}")
     in1 = (spec.incoming[0], states[0])
     in2 = (spec.incoming[1], states[1])
     out3 = (spec.outgoing[0], states[2])

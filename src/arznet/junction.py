@@ -38,6 +38,15 @@ def flux_tol(scale: float) -> float:
     return 1e-9 * max(1.0, scale)
 
 
+def _check_priority(priority) -> None:
+    """Merge priorities lie in ]0,1[ and exceed 2**-54: the mirrored merge divides by 1 - (1 - p)."""
+    if priority is None or not 0.0 < priority < 1.0:
+        raise ValueError(f"merge priority must lie in ]0,1[, got {priority}")
+    if 1.0 - priority == 1.0:
+        raise ValueError(f"merge priority must exceed 2**-54, got {priority!r}: 1 - priority "
+                         f"rounds to 1, and the mirrored merge divides by 1 - (1 - priority)")
+
+
 def modified_density(out_road: RoadParams, w_in: float, v_out):
     """Density on an outgoing road behind the contact carrying the incoming attribute.
 
@@ -118,8 +127,7 @@ class JunctionSpec:
         elif self.kind is JunctionKind.MERGE:
             if (n, m) != (2, 1):
                 raise ValueError("merge takes two incoming roads and one outgoing road")
-            if self.priority is None or not 0.0 < self.priority < 1.0:
-                raise ValueError(f"merge priority must lie in ]0,1[, got {self.priority}")
+            _check_priority(self.priority)
 
 
 @dataclass(frozen=True)
@@ -405,7 +413,7 @@ def _solve_merge_core(
     of the free coordinate differs.
     """
     # Step 1: the outflow allowed if the priority split were enforced exactly;
-    # the priority lies in ]0,1[ (JunctionSpec, solve_merge).
+    # the priority and its complement lie in ]0,1[ (_check_priority).
     s_p = _sigma_tilde_unchecked(geom, priority)
     f_p = min(delta1 / priority, delta2 / (1.0 - priority), s_p)
     q1_tilde = priority * f_p
@@ -474,8 +482,7 @@ def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
 
 def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> JunctionSolution:
     """Pareto-optimal priority-based Riemann solver for a 2-to-1 merge."""
-    if not 0.0 < priority < 1.0:
-        raise ValueError(f"merge priority must lie in ]0,1[, got {priority}")
+    _check_priority(priority)
     fl, demands = _merge(in1, in2, out, priority)
     p3, s3 = out
     w_mix = fl.w_out[0]

@@ -66,10 +66,9 @@ def supply_at(ctx: MergeContext, q1, q2):
     return fd.supply(p3, rho_t, w_mix)
 
 
-def feasible(ctx: MergeContext, q1, q2, tol: float | None = None):
+def feasible(ctx: MergeContext, q1, q2):
     """Membership in the admissible flux set (demand caps and mixed supply cap): bool or bool array."""
-    if tol is None:
-        tol = flux_tol(max(ctx.delta1, ctx.delta2))
+    tol = flux_tol(max(ctx.delta1, ctx.delta2))
     ok = (q1 >= -tol) & (q2 >= -tol)
     ok &= (q1 <= ctx.delta1 + tol) & (q2 <= ctx.delta2 + tol)
     ok &= q1 + q2 <= supply_at(ctx, q1, q2) + tol
@@ -130,14 +129,13 @@ def convexity_probe(ctx: MergeContext, trials: int, rng=None, segment_points: in
         raise ValueError("at least one trial is required")
     rng = np.random.default_rng(rng)
     d1, d2 = ctx.delta1, ctx.delta2
-    tol = flux_tol(max(1.0, d1, d2))
     violations = 0
     for _ in range(trials):
         pts = []
         for _ in range(64):
             cand = (rng.uniform(0, d1) if d1 > 0 else 0.0,
                     rng.uniform(0, d2) if d2 > 0 else 0.0)
-            if feasible(ctx, *cand, tol=tol):
+            if feasible(ctx, *cand):
                 pts.append(cand)
             if len(pts) == 2:
                 break
@@ -147,7 +145,7 @@ def convexity_probe(ctx: MergeContext, trials: int, rng=None, segment_points: in
         ts = rng.uniform(0.0, 1.0, size=segment_points)
         q1s = a1 + ts * (b1 - a1)
         q2s = a2 + ts * (b2 - a2)
-        violations += int(np.count_nonzero(~np.asarray(feasible(ctx, q1s, q2s, tol=tol))))
+        violations += int(np.count_nonzero(~np.asarray(feasible(ctx, q1s, q2s))))
     return violations
 
 

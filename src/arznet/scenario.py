@@ -1,14 +1,17 @@
 """Scenario files: JSON description of roads, junctions and simulation settings.
 
-Roads are initialized on the Greenshields equilibrium curve, either from a
-density ``rho0`` or from a desired flux ``q_desired`` (converted through the
-free-flow root).  Units are veh/km, km/h, veh/h.
+Junctions parse to ``sim.NetworkJunction``s holding their validated
+``JunctionSpec``, settings to a ``sim.SimConfig``; a malformed value raises a
+``ScenarioError`` naming its field.  Roads are initialized on the Greenshields
+equilibrium curve, either from a density ``rho0`` or from a desired flux
+``q_desired`` (converted through the free-flow root).  Units are veh/km, km/h, veh/h.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 from . import fundamental as fd
@@ -34,26 +37,11 @@ class RoadSpec:
         return fd.equilibrium_state(self.params, self.rho0)
 
 
-@dataclass(frozen=True)
-class JunctionDecl:
-    kind: jn.JunctionKind
-    in_ids: tuple[str, ...]
-    out_ids: tuple[str, ...]
-    alphas: tuple[float, ...] | None = None
-    priority: float | None = None
-
-
-# The `sim` settings a scenario file may hold, with their types; the defaults
-# are those of sim.SimConfig, and t_end defaults to _T_END.
-_SIM_FIELDS = {"cfl": float, "t_end": float, "output_stride": int, "steady_tol": float}
-_T_END = 0.25  # [h]
-
-
 @dataclass
 class Scenario:
     roads: list[RoadSpec]
-    junctions: list[JunctionDecl]
-    sim: sim.SimConfig = field(default_factory=lambda: sim.SimConfig(t_end=_T_END))
+    junctions: list[sim.NetworkJunction]
+    sim: sim.SimConfig = field(default_factory=sim.SimConfig)
 
     def road(self, road_id: str) -> RoadSpec:
         for r in self.roads:
@@ -62,78 +50,88 @@ class Scenario:
         raise KeyError(road_id)
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):
+    """Raise ``ScenarioError(msg.format(*args))`` unless ``cond``; valid input formats nothing."""
     if not cond:
-        raise ScenarioError(msg)
+        raise ScenarioError(msg.format(*args))
+
+
+def _number(value, where: str, key: str, kind=float):
+    """A finite JSON number as ``kind``, as an int only if whole (100.0 is)."""
+    _require(type(value) in (int, float) and abs(value) <= sys.float_info.max,
+             "{}.{}: must be a finite number, got {!r}", where, key, value)
+    _require(kind is float or float(value).is_integer(),
+             "{}.{}: must be a whole number, got {!r}", where, key, value)
+    return kind(value)
 
 
 def parse(data: dict) -> Scenario:
-    """Build a validated scenario from a decoded JSON document."""
+    """Build a validated scenario from a decoded JSON document: roads, each junction, then sim."""
     _require(isinstance(data, dict), "top level must be an object")
     _require("roads" in data and isinstance(data["roads"], list), "missing 'roads' list")
-    roads = []
-    seen = set()
+    roads = {}
     for k, entry in enumerate(data["roads"]):
         where = f"roads[{k}]"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
+        _require(isinstance(entry, dict), "{}: must be an object", where)
         for key in ("id", "rho_max", "v_ref", "gamma"):
-            _require(key in entry, f"{where}: missing field '{key}'")
+            _require(key in entry, "{}: missing field '{}'", where, key)
         rid = entry["id"]
-        _require(rid not in seen, f"{where}: duplicate road id {rid!r}")
-        seen.add(rid)
-        try:
-            params = RoadParams(float(entry["rho_max"]), float(entry["v_ref"]), float(entry["gamma"]))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        length = float(entry.get("length", 1.0))
-        cells = int(entry.get("cells", 100))
-        _require(length > 0 and cells >= 1, f"{where}: length/cells must be positive")
+        _require(isinstance(rid, str), "{}.id: must be a string, got {!r}", where, rid)
+        _require(rid not in roads, "{}: duplicate road id {!r}", where, rid)
+        values = [_number(entry[key], where, key) for key in ("rho_max", "v_ref", "gamma")]
+        length = _number(entry.get("length", 1.0), where, "length")
+        cells = _number(entry.get("cells", 100), where, "cells", int)
+        _require(length > 0 and cells >= 1, "{}: length/cells must be positive", where)
         _require(("rho0" in entry) != ("q_desired" in entry),
-                 f"{where}: exactly one of 'rho0' or 'q_desired' is required")
-        if "rho0" in entry:
-            rho0 = float(entry["rho0"])
-        else:
-            try:
-                rho0 = fd.equilibrium_density(params, float(entry["q_desired"]))
-            except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
-        _require(0.0 <= rho0 <= params.rho_max,
-                 f"{where}: rho0={rho0} outside [0, rho_max]")
-        roads.append(RoadSpec(rid, params, length, cells, rho0))
+                 "{}: exactly one of 'rho0' or 'q_desired' is required", where)
+        key = "rho0" if "rho0" in entry else "q_desired"
+        value = _number(entry[key], where, key)
+        try:
+            params = RoadParams(*values)
+            rho0 = value if key == "rho0" else fd.equilibrium_density(params, value)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+        _require(0.0 <= rho0 <= params.rho_max, "{}: rho0={} outside [0, rho_max]", where, rho0)
+        roads[rid] = RoadSpec(rid, params, length, cells, rho0)
 
+    _require(isinstance(data.get("junctions", []), list), "'junctions' must be a list")
     junctions = []
     for k, entry in enumerate(data.get("junctions", [])):
         where = f"junctions[{k}]"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
+        _require(isinstance(entry, dict), "{}: must be an object", where)
         for key in ("kind", "in", "out"):
-            _require(key in entry, f"{where}: missing field '{key}'")
+            _require(key in entry, "{}: missing field '{}'", where, key)
         try:
             kind = jn.JunctionKind(entry["kind"])
         except ValueError as exc:
             raise ScenarioError(f"{where}: unknown kind {entry['kind']!r}") from exc
-        in_ids = tuple(entry["in"])
-        out_ids = tuple(entry["out"])
-        for rid in in_ids + out_ids:
-            _require(rid in seen, f"{where}: unknown road id {rid!r}")
-        alphas = tuple(float(a) for a in entry["alphas"]) if "alphas" in entry else None
-        priority = float(entry["priority"]) if "priority" in entry else None
-        junctions.append(JunctionDecl(kind, in_ids, out_ids, alphas, priority))
+        for key in ("in", "out"):
+            _require(isinstance(entry[key], list), "{}.{}: must be a list of road ids", where, key)
+            for rid in entry[key]:
+                _require(isinstance(rid, str) and rid in roads, "{}: unknown road id {!r}", where, rid)
+        in_ids, out_ids = tuple(entry["in"]), tuple(entry["out"])
+        alphas = None
+        if "alphas" in entry:
+            _require(isinstance(entry["alphas"], list), "{}.alphas: must be a list of numbers", where)
+            alphas = tuple(_number(a, where, f"alphas[{i}]") for i, a in enumerate(entry["alphas"]))
+        priority = _number(entry["priority"], where, "priority") if "priority" in entry else None
+        try:  # arity, alphas and priority are validated here
+            spec = jn.JunctionSpec(kind, tuple(roads[r].params for r in in_ids),
+                                   tuple(roads[r].params for r in out_ids), alphas, priority)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        junctions.append(sim.NetworkJunction(spec, in_ids, out_ids))
 
     sim_entry = data.get("sim", {})
     _require(isinstance(sim_entry, dict), "'sim' must be an object")
+    # every SimConfig field may be set, with the JSON type of its default
+    given = {f.name: _number(sim_entry[f.name], "sim", f.name, type(f.default))
+             for f in dataclasses.fields(sim.SimConfig) if f.name in sim_entry}
     try:
-        given = {k: conv(sim_entry[k]) for k, conv in _SIM_FIELDS.items() if k in sim_entry}
-        settings = sim.SimConfig(**{"t_end": _T_END, **given})
-    except (TypeError, ValueError) as exc:
+        settings = sim.SimConfig(**given)
+    except ValueError as exc:
         raise ScenarioError(f"sim: {exc}") from exc
-    scenario = Scenario(roads=roads, junctions=junctions, sim=settings)
-    # arity/priority/alpha validation happens in JunctionSpec construction
-    for decl in junctions:
-        try:
-            build_junction_spec(scenario, decl)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return scenario
+    return Scenario(roads=list(roads.values()), junctions=junctions, sim=settings)
 
 
 def load(path) -> Scenario:
@@ -147,34 +145,28 @@ def load(path) -> Scenario:
 
 def dump(scenario: Scenario) -> dict:
     """JSON document that re-parses to an identical scenario."""
-    doc = {"roads": [], "junctions": [], "sim": {k: getattr(scenario.sim, k) for k in _SIM_FIELDS}}
+    doc = {"roads": [], "junctions": [], "sim": dataclasses.asdict(scenario.sim)}
     for r in scenario.roads:
         doc["roads"].append({
             "id": r.road_id, "rho_max": r.params.rho_max, "v_ref": r.params.v_ref,
             "gamma": r.params.gamma, "length": r.length, "cells": r.cells, "rho0": r.rho0,
         })
     for j in scenario.junctions:
-        entry = {"kind": j.kind.value, "in": list(j.in_ids), "out": list(j.out_ids)}
-        if j.alphas is not None:
-            entry["alphas"] = list(j.alphas)
-        if j.priority is not None:
-            entry["priority"] = j.priority
+        entry = {"kind": j.spec.kind.value, "in": list(j.in_ids), "out": list(j.out_ids)}
+        if j.spec.alphas is not None:
+            entry["alphas"] = list(j.spec.alphas)
+        if j.spec.priority is not None:
+            entry["priority"] = j.spec.priority
         doc["junctions"].append(entry)
     return doc
 
 
-def build_junction_spec(scenario: Scenario, decl: JunctionDecl) -> jn.JunctionSpec:
-    return jn.JunctionSpec(
-        kind=decl.kind,
-        incoming=tuple(scenario.road(rid).params for rid in decl.in_ids),
-        outgoing=tuple(scenario.road(rid).params for rid in decl.out_ids),
-        alphas=decl.alphas,
-        priority=decl.priority,
-    )
+def build_junction_spec(scenario: Scenario, nj: sim.NetworkJunction) -> jn.JunctionSpec:
+    return nj.spec
 
 
-def junction_states(scenario: Scenario, decl: JunctionDecl) -> list[TrafficState]:
-    return [scenario.road(rid).initial_state for rid in decl.in_ids + decl.out_ids]
+def junction_states(scenario: Scenario, nj: sim.NetworkJunction) -> list[TrafficState]:
+    return [scenario.road(rid).initial_state for rid in nj.in_ids + nj.out_ids]
 
 
 def build_network(scenario: Scenario) -> sim.Network:
@@ -182,11 +174,7 @@ def build_network(scenario: Scenario) -> sim.Network:
         r.road_id: sim.road_from_state(r.road_id, r.params, r.length, r.cells, r.initial_state)
         for r in scenario.roads
     }
-    junctions = [
-        sim.NetworkJunction(build_junction_spec(scenario, j), j.in_ids, j.out_ids)
-        for j in scenario.junctions
-    ]
-    return sim.Network(roads=roads, junctions=junctions)
+    return sim.Network(roads=roads, junctions=list(scenario.junctions))
 
 
 def sim_config(scenario: Scenario, cfl=None, t_end=None) -> sim.SimConfig:

@@ -113,7 +113,7 @@ MAX_STEPS = 1_000_000
 
 @dataclass
 class SimConfig:
-    t_end: float                 # [h]
+    t_end: float = 0.25          # [h]
     cfl: float = 0.5
     output_stride: int = 10
     steady_tol: float = 1e-6     # relative junction-flux change
@@ -121,6 +121,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in ]0,1], got {self.cfl}")
+        if not self.output_stride >= 1:
+            raise ValueError(f"output_stride must be at least 1, got {self.output_stride}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
         if not (math.isfinite(self.steady_tol) and self.steady_tol >= 0):
@@ -295,18 +297,16 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
 
     def record(jf):
         for rid in junction_road_ids:
-            series[rid].append(jf.get(rid, (math.nan, math.nan)))
+            series[rid].append(jf[rid])
 
     # initial snapshot: junction fluxes on the initial data
-    jf0 = {rid: (q, wv) for (rid, _), (q, _, wv) in _junction_edges(network).items()}
-    record(jf0)
+    record({rid: (q, wv) for (rid, _), (q, _, wv) in _junction_edges(network).items()})
 
     t = 0.0
     steps = 0
     steady_count = 0
     steady = False
     prev = None
-    jf = {}
     while t < cfg.t_end * (1.0 - 1e-12) and steps < MAX_STEPS:
         cells = {rid: _cells(road) for rid, road in network.roads.items()}
         for rid, c in cells.items():
@@ -337,9 +337,9 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
                 steady = True
                 break
 
-    if not times or times[-1] != t:
+    if times[-1] != t:  # only after a step: t stays 0.0 until one is taken
         times.append(t)
-        record(jf if steps else jf0)
+        record(jf)
 
     ledger.final_mass = math.fsum(r.total_mass() for r in network.roads.values())
     ledger.final_momentum = math.fsum(r.total_momentum() for r in network.roads.values())

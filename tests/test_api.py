@@ -1,10 +1,13 @@
-"""The package's public names, and the names the benchmark's tracer wraps.
+"""The package's public names, and the names the benchmark reads or wraps.
 
-The benchmark (``bench/``) is not part of this suite, and its tracer wraps
-package functions by name (``junction.solve_merge``, ``sim.interface_flux``,
-...). A refactor that deletes or renames one of them fails here.
+The benchmark (``bench/``) is not part of this suite. Its workloads call
+package functions by name (``scenario.build_junction_spec``,
+``oracle.convexity_probe``, ...) and its tracer wraps others
+(``junction.solve_merge``, ``sim.interface_flux``, ...). A refactor that
+deletes or renames one of them fails here.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -30,3 +33,36 @@ def test_tracer_targets_exist(monkeypatch):
     finally:
         for name in ("tracer", "workloads"):
             sys.modules.pop(name, None)
+
+
+def _arznet_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, name) pairs that a source file imports or reads from arznet's modules.
+
+    Found from the file's syntax tree: the file itself is not imported.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "arznet":
+            for alias in node.names:
+                reads.add((node.module, alias.name))
+                full = f"{node.module}.{alias.name}"
+                try:  # a submodule, or a name defined in the module
+                    importlib.import_module(full)
+                    modules[alias.asname or alias.name] = full
+                except ModuleNotFoundError:
+                    pass
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_benchmark_reads_resolve():
+    reads = _arznet_reads(BENCH / "workloads.py") | _arznet_reads(BENCH / "tracer.py")
+    assert {("arznet.scenario", "build_junction_spec"), ("arznet.scenario", "junction_states"),
+            ("arznet.oracle", "convexity_probe")} <= reads
+    missing = sorted(f"{mod}.{name}" for mod, name in reads
+                     if not hasattr(importlib.import_module(mod), name))
+    assert missing == []

@@ -95,7 +95,7 @@ class TestFeasibility:
             tol = jc.flux_tol(max(1.0, ctx.delta1, ctx.delta2))
             assert sol.q_in[0] <= ctx.delta1 + tol
             assert sol.q_in[1] <= ctx.delta2 + tol
-            assert oracle.feasible(ctx, sol.q_in[0], sol.q_in[1], tol)
+            assert oracle.feasible(ctx, sol.q_in[0], sol.q_in[1])
 
     def test_something_binds(self):
         rng = np.random.default_rng(73)
@@ -203,3 +203,30 @@ class TestNearVacuum:
         sol = _solve_both(*instance)
         assert sol.case == ("E3" if mirror else "E3'")
         assert 0.0 < sol.q_out[0] <= fd.capacity(roads[2], sol.w_out[0])
+
+
+# Road 1 carries the larger attribute, so the merge runs the mirrored
+# construction with priority 1 - p; swapping the states gives the direct one.
+TINY_PRIORITY_ROADS = [RoadParams(180.0, 100.0, 1.2)] * 3
+TINY_PRIORITY_STATES = [TrafficState(30.0, 60.0), TrafficState(30.0, 40.0), TrafficState(10.0, 80.0)]
+
+
+class TestTinyPriority:
+    @pytest.mark.parametrize("priority", [1e-17, 2.0**-54])
+    def test_complement_rounding_to_one_is_rejected(self, priority):
+        roads, states = TINY_PRIORITY_ROADS, TINY_PRIORITY_STATES
+        assert 1.0 - priority == 1.0
+        with pytest.raises(ValueError, match="2\\*\\*-54"):
+            jc.JunctionSpec(jc.JunctionKind.MERGE, tuple(roads[:2]), (roads[2],), priority=priority)
+        with pytest.raises(ValueError, match="2\\*\\*-54"):
+            jc.solve_merge(*zip(roads, states), priority)
+
+    @pytest.mark.parametrize("swap, case", [(False, "E2'"), (True, "E3")])
+    def test_smallest_priorities_above_the_bound_solve(self, swap, case):
+        states = list(TINY_PRIORITY_STATES)
+        if swap:
+            states[:2] = states[1::-1]
+        for priority in (6e-17, np.nextafter(2.0**-54, 1.0)):
+            sol = _solve_both(TINY_PRIORITY_ROADS, states, float(priority))
+            assert sol.case == case
+            assert sol.q_out[0] == pytest.approx(sum(sol.q_in), rel=1e-15)
