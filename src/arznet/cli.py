@@ -1,6 +1,6 @@
 """Command-line front end: junction solves, network simulation, capacity-drop sweeps.
 
-Exit codes: 0 success, 2 scenario/argument errors, 3 numerical solver failure.
+Exit codes: 0 success, 2 scenario, argument or allocation errors, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (ScenarioError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
 

@@ -8,8 +8,8 @@ supply branches used by all junction couplings.
 
 All functions accept scalars or numpy arrays for the density/attribute arguments.
 Scalars take plain Python arithmetic, so Python floats give Python floats; arrays
-take numpy's.  Both paths perform the same operations in the same order.
-Units are fixed: density in veh/km, speed in km/h, flux in veh/h.
+take numpy's, in the same operations and order (``_demand`` and ``_supply`` hold
+both forms).  Units are fixed: density in veh/km, speed in km/h, flux in veh/h.
 """
 
 from __future__ import annotations
@@ -87,25 +87,26 @@ def _capacity(p: RoadParams, c, sigma):
     return (c * p.gamma / (1.0 + p.gamma)) * sigma
 
 
-# Scalar forms of the np.where selections of demand, supply and
-# junction.demand_supply, for scalar densities and sonic points (``_scalars``).
-# The clamp is np.maximum(q, 0.0) exactly: NaN passes, and -0.0 (from
-# underflow) becomes 0.0.
-
-def _scalars(rho, sigma) -> bool:
-    return isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR)
-
+# The scalar clamps are np.maximum(q, 0.0) exactly: NaN passes, and -0.0 becomes 0.0.
 
 def _demand(rho, p_rho, c, sigma, cap):
     """Demand at ``rho`` (pressure ``p_rho``) along {w = c}, given its sonic point and capacity."""
-    q = (c - p_rho) * rho if rho <= sigma else cap
-    return 0.0 if q <= 0.0 else q
+    if isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR):
+        q = (c - p_rho) * rho if rho <= sigma else cap
+        return 0.0 if q <= 0.0 else q
+    return np.maximum(np.where(rho <= sigma, (c - p_rho) * rho, cap), 0.0)
 
 
 def _supply(p: RoadParams, rho, c, sigma, cap):
     """Supply at density ``rho`` along {w = c}, given its sonic point and capacity."""
-    q = cap if rho <= sigma else (c - _pressure(p, rho)) * rho
-    return 0.0 if q <= 0.0 else q
+    if isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR):
+        q = cap if rho <= sigma else (c - _pressure(p, rho)) * rho
+        return 0.0 if q <= 0.0 else q
+    # densities beyond the zero-speed point can accept nothing, not a negative flux
+    congested = (c - _pressure(p, rho)) * rho
+    q = np.where(rho <= sigma, cap, congested)
+    del cap  # a temporary from ``supply`` (the oracle's grids): freed before the clamp allocates
+    return np.maximum(q, 0.0)
 
 
 def pressure(p: RoadParams, rho):
@@ -136,25 +137,18 @@ def demand(p: RoadParams, rho, c):
     """Maximal flux the road can send downstream from density ``rho`` at attribute ``c``."""
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
+    rho = rho if isinstance(rho, _SCALAR) else np.asarray(rho, dtype=float)
     sigma = _sonic_point(p, c)
-    if _scalars(rho, sigma):
-        return _demand(rho, _pressure(p, rho), c, sigma, _capacity(p, c, sigma))
-    rho = np.asarray(rho, dtype=float)
-    free = (np.asarray(c) - _pressure(p, rho)) * rho
-    return np.maximum(np.where(rho <= sigma, free, _capacity(p, c, sigma)), 0.0)
+    return _demand(rho, _pressure(p, rho), c, sigma, _capacity(p, c, sigma))
 
 
 def supply(p: RoadParams, rho, c):
     """Maximal flux the road can accept at density ``rho`` and attribute ``c``."""
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
+    rho = rho if isinstance(rho, _SCALAR) else np.asarray(rho, dtype=float)
     sigma = _sonic_point(p, c)
-    if _scalars(rho, sigma):
-        return _supply(p, rho, c, sigma, _capacity(p, c, sigma))
-    rho = np.asarray(rho, dtype=float)
-    congested = (np.asarray(c) - _pressure(p, rho)) * rho
-    # densities beyond the zero-speed point can accept nothing, not a negative flux
-    return np.maximum(np.where(rho <= sigma, _capacity(p, c, sigma), congested), 0.0)
+    return _supply(p, rho, c, sigma, _capacity(p, c, sigma))
 
 
 def eigenvalues(p: RoadParams, s: TrafficState):

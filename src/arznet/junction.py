@@ -1,14 +1,14 @@
 """Riemann solvers at road junctions: 1-to-1, 1-to-m diverge, 2-to-1 priority merge.
 
-Couplings conserve mass and the momentum flow q*w.  Junctions with one
-incoming road share one kernel: a 1-to-1 junction is the 1-to-m diverge with
-m = 1 and assignment rate 1.  The incoming Lagrangian attributes mix at a
-merge as a flux-weighted convex combination, which makes the downstream supply
-depend on the flux split itself; the merge solver resolves this with a
-two-step construction (priority-enforced split, then projection onto the
-Pareto front of the admissible flux set by clamped fixed points, each a
-bracketed scalar root).  ``solve`` and ``junction_fluxes`` branch only on
-merge against single inflow.
+Couplings conserve mass and the momentum flow q*w.  An incoming road's attribute
+and demand share one p(rho); an outgoing road's supply is taken at its modified
+density.  Junctions with one incoming road share one kernel: a 1-to-1 junction
+is the 1-to-m diverge with m = 1 and assignment rate 1.  The incoming attributes
+mix at a merge as a flux-weighted convex combination, which makes the downstream
+supply depend on the flux split itself; the merge solver resolves this with a
+two-step construction (priority-enforced split, then projection onto the Pareto
+front of the admissible flux set by clamped fixed points, each a bracketed
+scalar root).  ``solve`` and ``junction_fluxes`` branch only on merge against single inflow.
 """
 
 from __future__ import annotations
@@ -59,6 +59,20 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
     return out_road.rho_max * arg ** (1.0 / out_road.gamma)
 
 
+def _demand_of(p: RoadParams, s: TrafficState):
+    """Attribute w = v + p(rho) of an incoming road's state and its demand, sharing p(rho)."""
+    p_rho = fd._pressure(p, s.rho)
+    w = s.v + p_rho
+    sigma = fd._sonic_point(p, w)
+    return w, fd._demand(s.rho, p_rho, w, sigma, fd._capacity(p, w, sigma))
+
+
+def _supply_for(p: RoadParams, v, w):
+    """Supply of an outgoing road at speed ``v`` for the attribute ``w`` (the modified density)."""
+    sigma = fd._sonic_point(p, w)
+    return fd._supply(p, modified_density(p, w, v), w, sigma, fd._capacity(p, w, sigma))
+
+
 def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
     """Godunov demand of a left state and supply of the right road for its attribute.
 
@@ -70,19 +84,10 @@ def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
     """
     sigma = fd._sonic_point(left, w)
     cap = fd._capacity(left, w, sigma)
-    if fd._scalars(rho, sigma):
-        demand = fd._demand(rho, p_rho, w, sigma, cap)
-    else:
-        demand = np.maximum(np.where(rho <= sigma, (w - p_rho) * rho, cap), 0.0)
+    demand = fd._demand(rho, p_rho, w, sigma, cap)
     if right is not left:
-        sigma = fd._sonic_point(right, w)
-        cap = fd._capacity(right, w, sigma)
-    rho_t = modified_density(right, w, v)
-    if fd._scalars(rho_t, sigma):
-        return demand, fd._supply(right, rho_t, w, sigma, cap)
-    # densities beyond the zero-speed point can accept nothing, not a negative flux
-    congested = (w - fd._pressure(right, rho_t)) * rho_t
-    return demand, np.maximum(np.where(rho_t <= sigma, cap, congested), 0.0)
+        return demand, _supply_for(right, v, w)
+    return demand, fd._supply(right, modified_density(right, w, v), w, sigma, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +251,9 @@ def _single_inflow(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequen
     A 1-to-1 junction is the case m = 1 with alpha = 1, for which the
     division, the products and the one-term sum below are exact.
     """
-    p1, s1 = incoming
-    p_rho = fd._pressure(p1, s1.rho)
-    w1 = s1.v + p_rho  # fd.attribute(p1, s1), sharing p(rho) with the demand
-    supplies = []
-    q1 = math.inf
-    for (pj, sj), a in zip(outgoings, alphas):
-        d1, sup = demand_supply(p1, s1.rho, p_rho, w1, pj, sj.v)
-        supplies.append(sup)
-        q1 = min(q1, sup / a)
-    q1 = min(d1, q1)
+    w1, d1 = _demand_of(*incoming)
+    supplies = [_supply_for(pj, sj.v, w1) for pj, sj in outgoings]
+    q1 = min(d1, *(sup / a for sup, a in zip(supplies, alphas)))
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
     fl = JunctionFluxes(q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out))
@@ -298,11 +296,12 @@ def attribute_gap_is_zero(w1: float, w2: float) -> bool:
 
 def merge_geometry(in1: Branch, in2: Branch, out: Branch) -> MergeGeometry:
     """Supply geometry and critical ratios (p_hat, P*, P**) for a 2-to-1 merge."""
-    p1, s1 = in1
-    p2, s2 = in2
+    return _merge_geometry(fd.attribute(*in1), fd.attribute(*in2), out)
+
+
+def _merge_geometry(w1: float, w2: float, out: Branch) -> MergeGeometry:
+    """``merge_geometry`` for the incoming attributes ``w1`` and ``w2``."""
     p3, s3 = out
-    w1 = fd.attribute(p1, s1)
-    w2 = fd.attribute(p2, s2)
     v3 = s3.v
     dw = w1 - w2
     g3 = p3.gamma
@@ -457,18 +456,15 @@ def _solve_merge_core(
 
 def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     """Merge fluxes, with the two incoming demands."""
-    (p1, s1), (p2, s2) = in1, in2
-    w1 = fd.attribute(p1, s1)
-    w2 = fd.attribute(p2, s2)
-    delta1 = fd.demand(p1, s1.rho, w1)
-    delta2 = fd.demand(p2, s2.rho, w2)
+    w1, delta1 = _demand_of(*in1)
+    w2, delta2 = _demand_of(*in2)
     if not attribute_gap_is_zero(w1, w2) and w1 > w2:
         # mirrored construction: swap the incoming roads and the priority
-        geom = merge_geometry(in2, in1, out)
+        geom = _merge_geometry(w2, w1, out)
         q2, q1, case = _solve_merge_core(geom, delta2, delta1, 1.0 - priority)
         case += "'"
     else:
-        q1, q2, case = _solve_merge_core(merge_geometry(in1, in2, out), delta1, delta2, priority)
+        q1, q2, case = _solve_merge_core(_merge_geometry(w1, w2, out), delta1, delta2, priority)
 
     q3 = q1 + q2
     w_p = w2 + priority * (w1 - w2)
@@ -485,9 +481,7 @@ def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> Junct
     _check_priority(priority)
     fl, demands = _merge(in1, in2, out, priority)
     p3, s3 = out
-    w_mix = fl.w_out[0]
-    sigma3 = fd.supply(p3, modified_density(p3, w_mix, s3.v), w_mix)
-    return _with_traces(fl, (in1, in2), (out,), demands, (sigma3,))
+    return _with_traces(fl, (in1, in2), (out,), demands, (_supply_for(p3, s3.v, fl.w_out[0]),))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ class SolverFailure(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def bisect(f, a: float, b: float, tol: float, max_iter: int = MAX_ITER) -> float:
+def bisect(f, a: float, b: float, tol: float) -> float:
     """Root of ``f`` on [a, b] by bisection; ``f(a)`` and ``f(b)`` must bracket zero.
 
     Converges on |f| <= tol; the bracket width only serves as a safety stop
@@ -29,7 +29,7 @@ def bisect(f, a: float, b: float, tol: float, max_iter: int = MAX_ITER) -> float
         raise SolverFailure(
             "no sign change on bracket", a=a, b=b, fa=fa, fb=fb, tol=tol
         )
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
         fm = f(mid)
         if abs(fm) <= tol or (b - a) <= width_floor:
@@ -40,11 +40,11 @@ def bisect(f, a: float, b: float, tol: float, max_iter: int = MAX_ITER) -> float
             a, fa = mid, fm
     raise SolverFailure(
         "bisection did not converge", a=a, b=b, fa=fa, fb=fb,
-        tol=tol, max_iter=max_iter,
+        tol=tol, max_iter=MAX_ITER,
     )
 
 
-def newton(fdf, x0: float, lo: float, hi: float, tol: float, max_iter: int = MAX_ITER) -> float:
+def newton(fdf, x0: float, lo: float, hi: float, tol: float) -> float:
     """Root of ``f`` on [lo, hi] by Newton's method from the bracket end ``x0``.
 
     ``fdf(x)`` returns ``(f(x), f'(x))``. Meant for a monotone ``f`` that is
@@ -53,11 +53,11 @@ def newton(fdf, x0: float, lo: float, hi: float, tol: float, max_iter: int = MAX
     side and never overshoot it. Converges on |f| <= tol, then takes one more
     step if it stays in [lo, hi], which lands on the root rather than anywhere
     inside the tolerance band. A step that leaves the bracket before
-    convergence, or ``max_iter`` steps without it, raises SolverFailure.
+    convergence, or ``MAX_ITER`` steps without it, raises SolverFailure.
     """
     x = x0
     fx, dfx = fdf(x)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # a zero slope sends the step out of the bracket (NaN compares false)
         step = x - fx / dfx if dfx else float("nan")
         inside = lo <= step <= hi
@@ -72,12 +72,11 @@ def newton(fdf, x0: float, lo: float, hi: float, tol: float, max_iter: int = MAX
         fx, dfx = fdf(x)
     raise SolverFailure(
         "Newton iteration did not converge", x=x, f=fx, df=dfx,
-        lo=lo, hi=hi, tol=tol, max_iter=max_iter,
+        lo=lo, hi=hi, tol=tol, max_iter=MAX_ITER,
     )
 
 
-def regula_falsi(f, a: float, b: float, fa: float, fb: float, tol: float,
-                 max_iter: int = MAX_ITER) -> float:
+def regula_falsi(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     """Root of ``f`` on [a, b] by the Anderson-Bjorck regula falsi.
 
     ``fa = f(a)`` and ``fb = f(b)`` come from the caller and must differ in
@@ -87,7 +86,7 @@ def regula_falsi(f, a: float, b: float, fa: float, fb: float, tol: float,
     Converges on |f| <= tol (an end within it is returned as it is), then
     takes one more secant step through the last two iterates if it stays in
     the bracket, which lands on the root rather than anywhere inside the
-    tolerance band. No sign change, or ``max_iter`` iterates without
+    tolerance band. No sign change, or ``MAX_ITER`` iterates without
     convergence, raises SolverFailure.
     """
     if abs(fa) <= tol:
@@ -96,7 +95,7 @@ def regula_falsi(f, a: float, b: float, fa: float, fb: float, tol: float,
         return b
     if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise SolverFailure("no sign change on bracket", a=a, b=b, fa=fa, fb=fb, tol=tol)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # b is the latest iterate; fa may carry the scaling, fb never does
         x = b - fb * (b - a) / (fb - fa)
         if not (a < x < b or b < x < a):  # a NaN point too
@@ -113,5 +112,5 @@ def regula_falsi(f, a: float, b: float, fa: float, fb: float, tol: float,
             fa *= m if m > 0.0 else 0.5
         b, fb = x, fx
     raise SolverFailure(
-        "regula falsi did not converge", x=x, f=fx, a=a, b=b, tol=tol, max_iter=max_iter,
+        "regula falsi did not converge", x=x, f=fx, a=a, b=b, tol=tol, max_iter=MAX_ITER,
     )

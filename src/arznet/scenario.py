@@ -1,9 +1,9 @@
 """Scenario files: JSON description of roads, junctions and simulation settings.
 
 Junctions parse to ``sim.NetworkJunction``s holding their validated
-``JunctionSpec``, settings to a ``sim.SimConfig``; a malformed value raises a
-``ScenarioError`` naming its field.  Roads are initialized on the Greenshields
-equilibrium curve, either from a density ``rho0`` or from a desired flux
+``JunctionSpec``, settings to a ``sim.SimConfig``; a malformed value or an
+unknown key raises a ``ScenarioError`` naming its field.  Roads are initialized
+on the Greenshields equilibrium curve, from a density ``rho0`` or a desired flux
 ``q_desired`` (converted through the free-flow root).  Units are veh/km, km/h, veh/h.
 """
 
@@ -65,14 +65,24 @@ def _number(value, where: str, key: str, kind=float):
     return kind(value)
 
 
+def _known_keys(entry: dict, known, prefix: str):
+    """Reject a key outside ``known``: a misspelt field would silently take its default."""
+    for key in entry:
+        if key not in known:
+            raise ScenarioError(f"{prefix}{key}: unknown key, expected one of {', '.join(known)}")
+
+
 def parse(data: dict) -> Scenario:
     """Build a validated scenario from a decoded JSON document: roads, each junction, then sim."""
     _require(isinstance(data, dict), "top level must be an object")
+    _known_keys(data, ("roads", "junctions", "sim"), "")
     _require("roads" in data and isinstance(data["roads"], list), "missing 'roads' list")
     roads = {}
     for k, entry in enumerate(data["roads"]):
         where = f"roads[{k}]"
         _require(isinstance(entry, dict), "{}: must be an object", where)
+        _known_keys(entry, ("id", "rho_max", "v_ref", "gamma", "length", "cells", "rho0",
+                            "q_desired"), where + ".")
         for key in ("id", "rho_max", "v_ref", "gamma"):
             _require(key in entry, "{}: missing field '{}'", where, key)
         rid = entry["id"]
@@ -99,6 +109,7 @@ def parse(data: dict) -> Scenario:
     for k, entry in enumerate(data.get("junctions", [])):
         where = f"junctions[{k}]"
         _require(isinstance(entry, dict), "{}: must be an object", where)
+        _known_keys(entry, ("kind", "in", "out", "alphas", "priority"), where + ".")
         for key in ("kind", "in", "out"):
             _require(key in entry, "{}: missing field '{}'", where, key)
         try:
@@ -125,8 +136,9 @@ def parse(data: dict) -> Scenario:
     sim_entry = data.get("sim", {})
     _require(isinstance(sim_entry, dict), "'sim' must be an object")
     # every SimConfig field may be set, with the JSON type of its default
-    given = {f.name: _number(sim_entry[f.name], "sim", f.name, type(f.default))
-             for f in dataclasses.fields(sim.SimConfig) if f.name in sim_entry}
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(sim.SimConfig)}
+    _known_keys(sim_entry, kinds, "sim.")
+    given = {key: _number(value, "sim", key, kinds[key]) for key, value in sim_entry.items()}
     try:
         settings = sim.SimConfig(**given)
     except ValueError as exc:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arznet import cli, scenario
+from arznet import cli, scenario, sim
 
 MERGE_DOC = {
     "roads": [
@@ -156,3 +156,23 @@ class TestCliCommands:
         path.write_text(json.dumps(doc))
         code = cli.main(["capacity-drop", "--scenario", str(path), "--sweep", "100"])
         assert code == 2
+
+    def test_allocation_failure_is_exit_two(self, tmp_path, monkeypatch, capsys):
+        # cells 10**15 is a whole, finite number: parse accepts it, numpy cannot allocate
+        # it. The MemoryError is simulated; the test never allocates for real.
+        doc = json.loads(json.dumps(MERGE_DOC))
+        doc["roads"][0]["cells"] = 10**15
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        road_from_state = sim.road_from_state
+
+        def allocate(road_id, params, length, cells, state):
+            if cells > 10**9:
+                raise MemoryError(f"Unable to allocate {8 * cells} bytes for {cells} cells")
+            return road_from_state(road_id, params, length, cells, state)
+        monkeypatch.setattr(sim, "road_from_state", allocate)
+        for cmd in (["simulate", "--out", str(tmp_path / "run")],
+                    ["capacity-drop", "--sweep", "1000"]):
+            assert cli.main([*cmd, "--scenario", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: Unable to allocate") and "Traceback" not in err

@@ -95,3 +95,45 @@ def test_capacity_guard(monkeypatch, excess, raises):
             jc.solve(spec, states)
     else:
         assert jc.junction_fluxes(spec, states) == over
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call; returns the record."""
+    calls = []
+    func = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return func(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _roads_and_states():
+    a, b, c = RoadParams(180.0, 100.0, 1.2), RoadParams(90.0, 100.0, 1.7), RoadParams(120.0, 80.0, 2.0)
+    states = {a: TrafficState(30.0, 60.0), b: TrafficState(10.0, 70.0), c: TrafficState(0.0, 0.0)}
+    return a, b, c, states
+
+
+@pytest.mark.parametrize("kind, n_in", [("one_to_one", 1), ("diverge", 1), ("merge", 2)])
+def test_one_demand_per_incoming_road(monkeypatch, kind, n_in):
+    """Each incoming road's demand is evaluated once, not once per outgoing road.
+
+    The solvers go through the unchecked kernels: the checked public demand,
+    supply and attribute are not called at all.
+    """
+    a, b, c, state = _roads_and_states()
+    spec = {
+        "one_to_one": JunctionSpec(JunctionKind.ONE_TO_ONE, (a,), (b,)),
+        "diverge": JunctionSpec(JunctionKind.DIVERGE, (a,), (b, c, a), alphas=(0.2, 0.3, 0.5)),
+        "merge": JunctionSpec(JunctionKind.MERGE, (a, c), (b,), priority=0.4),
+    }[kind]
+    states = [state[p] for p in spec.incoming + spec.outgoing]
+    demands = _counting(monkeypatch, fd, "_demand")
+    public = [_counting(monkeypatch, fd, name) for name in ("demand", "supply", "attribute")]
+    for run in (jc.junction_fluxes, jc.solve):
+        demands.clear()
+        run(spec, states)
+        assert len(demands) == n_in, run.__name__
+        assert [call[0] for call in demands] == [s.rho for s in states[:n_in]]
+    assert public == [[], [], []]

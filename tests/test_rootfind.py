@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from arznet import rootfind
 from arznet.rootfind import SolverFailure, bisect, newton, regula_falsi
 
 
@@ -57,9 +58,10 @@ def test_newton_zero_slope_off_the_root_raises():
     assert math.isnan(err.value.diagnostics["step"])
 
 
-def test_newton_past_max_iter_raises_with_diagnostics():
+def test_newton_past_max_iter_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(rootfind, "MAX_ITER", 2)
     with pytest.raises(SolverFailure, match="did not converge") as err:
-        newton(sqrt2, 2.0, 1.0, 2.0, 1e-15, max_iter=2)
+        newton(sqrt2, 2.0, 1.0, 2.0, 1e-15)
     d = err.value.diagnostics
     assert d["max_iter"] == 2 and (d["lo"], d["hi"]) == (1.0, 2.0)
     assert 1.0 <= d["x"] <= 2.0 and d["f"] == sqrt2(d["x"])[0] and abs(d["f"]) > 1e-15
@@ -71,9 +73,10 @@ def test_bisect_without_a_sign_change_raises():
     assert err.value.diagnostics["a"] == -1.0 and err.value.diagnostics["b"] == 1.0
 
 
-def test_bisect_past_max_iter_raises():
+def test_bisect_past_max_iter_raises(monkeypatch):
+    monkeypatch.setattr(rootfind, "MAX_ITER", 3)
     with pytest.raises(SolverFailure, match="did not converge"):
-        bisect(lambda x: x * x - 2.0, 1.0, 2.0, 1e-15, max_iter=3)
+        bisect(lambda x: x * x - 2.0, 1.0, 2.0, 1e-15)
 
 
 def test_regula_falsi_lands_on_the_root():
@@ -128,10 +131,11 @@ def test_regula_falsi_with_a_nan_end_raises():
         regula_falsi(lambda x: x, -1.0, 1.0, math.nan, 1.0, 1e-12)
 
 
-def test_regula_falsi_past_max_iter_raises_with_diagnostics():
+def test_regula_falsi_past_max_iter_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(rootfind, "MAX_ITER", 2)
     f, points = recording(lambda x: x * x - 2.0)
     with pytest.raises(SolverFailure, match="did not converge") as err:
-        regula_falsi(f, 1.0, 2.0, -1.0, 2.0, 1e-15, max_iter=2)
+        regula_falsi(f, 1.0, 2.0, -1.0, 2.0, 1e-15)
     d = err.value.diagnostics
     assert d["max_iter"] == 2 and len(points) == 2
     assert d["x"] == points[-1] and d["f"] == d["x"] ** 2 - 2.0 and abs(d["f"]) > 1e-15

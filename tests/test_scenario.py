@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -98,6 +99,35 @@ class TestEdgeValues:
         path.write_text(json.dumps(doc))
         assert cli.main(["solve", "--scenario", str(path)]) == 2
         assert "2**-54" in capsys.readouterr().err
+
+
+class TestUnknownKeys:
+    """A key that its object does not know is named, not silently ignored."""
+
+    @pytest.mark.parametrize("section, index, key", [
+        ("sim", None, "t_ned"), ("sim", None, "max_steps"), ("roads", 0, "lenght"),
+        ("junctions", 0, "priorty")])
+    def test_unknown_key_is_named(self, section, index, key, tmp_path, capsys):
+        text = _with(MERGE_DOC, section, index, key, 0.001)
+        name = f"{section}.{key}" if index is None else f"{section}[{index}].{key}"
+        with pytest.raises(scenario.ScenarioError, match=rf"^{re.escape(name)}: unknown key"):
+            scenario.parse(json.loads(text))
+        path = tmp_path / "typo.json"
+        path.write_text(text)
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}: unknown key")
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_top_level_key(self):
+        doc = dict(copy.deepcopy(MERGE_DOC), simulation={"t_end": 0.001})
+        with pytest.raises(scenario.ScenarioError, match="^simulation: unknown key"):
+            scenario.parse(doc)
+
+    def test_sim_keys_are_the_sim_config_fields(self):
+        with pytest.raises(scenario.ScenarioError) as err:
+            scenario.parse(json.loads(_with(MERGE_DOC, "sim", None, "t_ned", 0.001)))
+        names = [f.name for f in dataclasses.fields(sim.SimConfig)]
+        assert str(err.value).endswith("expected one of " + ", ".join(names))
 
 
 class TestSimulatorObjects:
