@@ -94,7 +94,12 @@ def _demand(rho, p_rho, c, sigma, cap):
     if isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR):
         q = (c - p_rho) * rho if rho <= sigma else cap
         return 0.0 if q <= 0.0 else q
-    return np.maximum(np.where(rho <= sigma, (c - p_rho) * rho, cap), 0.0)
+    mask = rho <= sigma
+    congested = (c - p_rho) * rho
+    del p_rho  # a temporary from ``demand``: freed before ``np.where`` allocates
+    q = np.where(mask, congested, cap)
+    del mask, congested, cap  # the capacity too, before the clamp allocates
+    return np.maximum(q, 0.0)
 
 
 def _supply(p: RoadParams, rho, c, sigma, cap):

@@ -8,7 +8,10 @@ mix at a merge as a flux-weighted convex combination, which makes the downstream
 supply depend on the flux split itself; the merge solver resolves this with a
 two-step construction (priority-enforced split, then projection onto the Pareto
 front of the admissible flux set by clamped fixed points, each a bracketed
-scalar root).  ``solve`` and ``junction_fluxes`` branch only on merge against single inflow.
+scalar root).  Both kernels return the fluxes with one bound (a demand or a
+supply) and one capacity per branch, incoming first, each computed once:
+``junction_fluxes`` checks the fluxes against these capacities, and ``solve``
+finds the active bounds of its traces.  Both branch only on merge against single inflow.
 """
 
 from __future__ import annotations
@@ -60,17 +63,19 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
 
 
 def _demand_of(p: RoadParams, s: TrafficState):
-    """Attribute w = v + p(rho) of an incoming road's state and its demand, sharing p(rho)."""
+    """Attribute w = v + p(rho) of an incoming road's state, its demand and the capacity along w."""
     p_rho = fd._pressure(p, s.rho)
     w = s.v + p_rho
     sigma = fd._sonic_point(p, w)
-    return w, fd._demand(s.rho, p_rho, w, sigma, fd._capacity(p, w, sigma))
+    cap = fd._capacity(p, w, sigma)
+    return w, fd._demand(s.rho, p_rho, w, sigma, cap), cap
 
 
 def _supply_for(p: RoadParams, v, w):
-    """Supply of an outgoing road at speed ``v`` for the attribute ``w`` (the modified density)."""
+    """Supply of an outgoing road at speed ``v`` for the attribute ``w``, and the capacity along w."""
     sigma = fd._sonic_point(p, w)
-    return fd._supply(p, modified_density(p, w, v), w, sigma, fd._capacity(p, w, sigma))
+    cap = fd._capacity(p, w, sigma)
+    return fd._supply(p, modified_density(p, w, v), w, sigma, cap), cap
 
 
 def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
@@ -86,7 +91,7 @@ def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
     cap = fd._capacity(left, w, sigma)
     demand = fd._demand(rho, p_rho, w, sigma, cap)
     if right is not left:
-        return demand, _supply_for(right, v, w)
+        return demand, _supply_for(right, v, w)[0]
     return demand, fd._supply(right, modified_density(right, w, v), w, sigma, cap)
 
 
@@ -159,16 +164,11 @@ class JunctionSolution(JunctionFluxes):
 # Boundary-state reconstruction
 # ---------------------------------------------------------------------------
 
-def _check_capacity(p: RoadParams, w: float, q: float, sigma: float) -> float:
-    """Capacity along {w = const}, given its sonic point ``sigma``.
-
-    Raises InfeasibleFlux when ``q`` exceeds the capacity beyond noise.
-    """
-    cap = fd._capacity(p, w, sigma)
+def _check_capacity(q: float, cap: float, w: float) -> None:
+    """Raise InfeasibleFlux where the flux ``q`` exceeds the capacity ``cap`` along w beyond noise."""
     # small relative slack: iterative flux solves may overshoot capacity by noise
     if q > cap + 1e-6 * max(1.0, cap, q):
         raise InfeasibleFlux(f"flux {q} exceeds capacity {cap} along w={w}")
-    return cap
 
 
 def reconstruct_boundary_state(
@@ -188,7 +188,8 @@ def reconstruct_boundary_state(
     if side not in ("incoming", "outgoing"):
         raise ValueError(f"side must be 'incoming' or 'outgoing', got {side!r}")
     sigma = fd.sonic_point(p, w)
-    cap = _check_capacity(p, w, q, sigma)
+    cap = fd._capacity(p, w, sigma)
+    _check_capacity(q, cap, w)
     # resolve the trace density well below the flux tolerances used downstream
     tol = 1e-13 * max(1.0, cap)
     q = min(q, cap)
@@ -225,18 +226,17 @@ def _with_traces(
     fl: JunctionFluxes,
     incoming: Sequence[Branch],
     outgoing: Sequence[Branch],
-    demands: Sequence[float],
-    supplies: Sequence[float],
+    bounds: Sequence[float],
 ) -> JunctionSolution:
     """Add the boundary traces to junction fluxes; a bound is active where the flux meets it."""
-    tol = flux_tol(max(*demands, *supplies))
+    tol = flux_tol(max(bounds))
     b_in = tuple(
         reconstruct_boundary_state(p, w, q, "incoming", s, abs(q - d) <= tol)
-        for (p, s), q, w, d in zip(incoming, fl.q_in, fl.w_in, demands)
+        for (p, s), q, w, d in zip(incoming, fl.q_in, fl.w_in, bounds)
     )
     b_out = tuple(
         reconstruct_boundary_state(p, w, q, "outgoing", s, abs(q - sup) <= tol)
-        for (p, s), q, w, sup in zip(outgoing, fl.q_out, fl.w_out, supplies)
+        for (p, s), q, w, sup in zip(outgoing, fl.q_out, fl.w_out, bounds[len(incoming):])
     )
     return JunctionSolution(**vars(fl), boundary_in=b_in, boundary_out=b_out)
 
@@ -246,18 +246,18 @@ def _with_traces(
 # ---------------------------------------------------------------------------
 
 def _single_inflow(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]):
-    """1-to-m fluxes, with the incoming demand and the outgoing supplies.
+    """1-to-m fluxes, with the demand and the supplies as bounds and their capacities.
 
     A 1-to-1 junction is the case m = 1 with alpha = 1, for which the
     division, the products and the one-term sum below are exact.
     """
-    w1, d1 = _demand_of(*incoming)
-    supplies = [_supply_for(pj, sj.v, w1) for pj, sj in outgoings]
+    w1, d1, cap1 = _demand_of(*incoming)
+    supplies, caps = zip(*[_supply_for(pj, sj.v, w1) for pj, sj in outgoings])
     q1 = min(d1, *(sup / a for sup, a in zip(supplies, alphas)))
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
     fl = JunctionFluxes(q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out))
-    return fl, (d1,), supplies
+    return fl, (d1, *supplies), (cap1, *caps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +275,7 @@ class MergeGeometry:
 
     w1: float
     w2: float
-    v3: float
     dw: float
-    out: RoadParams
     w_split: float                      # attribute level separating the two branches
     free: tuple[float, float, float]    # (K, delta, gamma_exp), capacity branch
     cong: tuple[float, float, float]    # (K, delta, gamma_exp), congested branch
@@ -325,7 +323,7 @@ def _merge_geometry(w1: float, w2: float, out: Branch) -> MergeGeometry:
             p_star2 = (1.0 - g3 * (w2 - v3) / dw) / (g3 + 1.0)
 
     return MergeGeometry(
-        w1=w1, w2=w2, v3=v3, dw=dw, out=p3, w_split=w_split,
+        w1=w1, w2=w2, dw=dw, w_split=w_split,
         free=free, cong=cong, p_hat=p_hat, p_star=p_star, p_star2=p_star2,
     )
 
@@ -455,9 +453,9 @@ def _solve_merge_core(
 
 
 def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
-    """Merge fluxes, with the two incoming demands."""
-    w1, delta1 = _demand_of(*in1)
-    w2, delta2 = _demand_of(*in2)
+    """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their capacities."""
+    w1, delta1, cap1 = _demand_of(*in1)
+    w2, delta2, cap2 = _demand_of(*in2)
     if not attribute_gap_is_zero(w1, w2) and w1 > w2:
         # mirrored construction: swap the incoming roads and the priority
         geom = _merge_geometry(w2, w1, out)
@@ -473,15 +471,15 @@ def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     fl = JunctionFluxes(
         q_in=(q1, q2), q_out=(q3,), w_in=(w1, w2), w_out=(w_mix,), ratio=ratio, case=case,
     )
-    return fl, (delta1, delta2)
+    supply3, cap3 = _supply_for(out[0], out[1].v, w_mix)
+    return fl, (delta1, delta2, supply3), (cap1, cap2, cap3)
 
 
 def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> JunctionSolution:
     """Pareto-optimal priority-based Riemann solver for a 2-to-1 merge."""
     _check_priority(priority)
-    fl, demands = _merge(in1, in2, out, priority)
-    p3, s3 = out
-    return _with_traces(fl, (in1, in2), (out,), demands, (_supply_for(p3, s3.v, fl.w_out[0]),))
+    fl, bounds, _ = _merge(in1, in2, out, priority)
+    return _with_traces(fl, (in1, in2), (out,), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +496,16 @@ def _branches(spec: JunctionSpec, states: Sequence[TrafficState]):
 def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionFluxes:
     """Fluxes and mixed attributes of ``solve`` without the boundary traces.
 
-    Every branch flux is checked against the capacity along its attribute,
-    as the trace reconstruction of ``solve`` does; raises InfeasibleFlux.
+    Each branch flux is checked against the kernel's capacity along its attribute,
+    as the trace reconstruction of ``solve`` checks it; raises InfeasibleFlux.
     """
     inc, out = _branches(spec, states)
     if spec.kind is JunctionKind.MERGE:
-        fl, _ = _merge(inc[0], inc[1], out[0], spec.priority)
+        fl, _, caps = _merge(inc[0], inc[1], out[0], spec.priority)
     else:  # a 1-to-1 junction is the diverge with alphas (1.0,)
-        fl, _, _ = _single_inflow(inc[0], out, spec.alphas or (1.0,))
-    for (p, _), q, w in zip(inc + out, fl.q_in + fl.q_out, fl.w_in + fl.w_out):
-        _check_capacity(p, w, q, fd._sonic_point(p, w))
+        fl, _, caps = _single_inflow(inc[0], out, spec.alphas or (1.0,))
+    for q, w, cap in zip(fl.q_in + fl.q_out, fl.w_in + fl.w_out, caps):
+        _check_capacity(q, cap, w)
     return fl
 
 
@@ -516,8 +514,8 @@ def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolutio
     inc, out = _branches(spec, states)
     if spec.kind is JunctionKind.MERGE:
         return solve_merge(inc[0], inc[1], out[0], spec.priority)
-    fl, demands, supplies = _single_inflow(inc[0], out, spec.alphas or (1.0,))
-    return _with_traces(fl, inc, out, demands, supplies)
+    fl, bounds, _ = _single_inflow(inc[0], out, spec.alphas or (1.0,))
+    return _with_traces(fl, inc, out, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,22 @@ class TestDemandSupply:
             cap = float(fd.capacity(p, c))
             assert fd.demand(p, sigma, c) == pytest.approx(cap, rel=1e-12)
             assert fd.supply(p, sigma, c) == pytest.approx(cap, rel=1e-12)
+
+    def test_array_demand_peak_memory_at_most_supply(self):
+        """The array demand frees p(rho) and the capacity early: its peak is no higher than the supply's."""
+        rng = np.random.default_rng(17)
+        rho = rng.uniform(0.0, ROAD1.rho_max, 100_000)
+        c = rng.uniform(1.0, 2 * ROAD1.v_ref, 100_000)
+        peak = {}
+        for func in (fd.demand, fd.supply):
+            func(ROAD1, rho, c)  # first calls allocate once-only state
+            tracemalloc.start()
+            try:
+                func(ROAD1, rho, c)
+                peak[func] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak[fd.demand] <= peak[fd.supply]
 
     def test_flux_concave_along_attribute_curve(self):
         rng = np.random.default_rng(11)

@@ -160,8 +160,10 @@ def _recorded(inst) -> dict:
             mock.patch.object(jc, "reconstruct_boundary_state",
                               wraps=jc.reconstruct_boundary_state) as spy:
         out = _solution(inst)
-    # _with_traces reconstructs the incoming traces first, each with its bound flag
+    # _with_traces reconstructs the incoming traces first, each with its bound flag;
+    # a trace not built through the spied name would be recorded as the solver found it
     traces = out["boundary_in"] + out["boundary_out"]
+    assert len(spy.call_args_list) == len(traces)
     for i, call in enumerate(spy.call_args_list):
         p, w, q, side, _, bound_active = call.args
         if not bound_active:
@@ -198,10 +200,7 @@ def test_fixture_covers_every_kind():
     assert len({inst["solution"]["case"] for inst in INSTANCES}) >= 8
 
 
-@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst["kind"])
-def test_solve_matches_recorded(inst):
-    want = inst["solution"]
-    got = _solution(inst)
+def _assert_matches(got, want):
     assert got["case"] == want["case"]
     for name in ("q_in", "q_out", "w_in", "w_out", "boundary_in", "boundary_out"):
         np.testing.assert_allclose(got[name], want[name], rtol=RTOL, atol=0, err_msg=name)
@@ -209,6 +208,18 @@ def test_solve_matches_recorded(inst):
         assert got["ratio"] is None
     else:
         np.testing.assert_allclose(got["ratio"], want["ratio"], rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst["kind"])
+def test_solve_matches_recorded(inst):
+    _assert_matches(_solution(inst), inst["solution"])
+
+
+def test_recorder_reproduces_fixture():
+    """``record()``'s exact fixed points and traces still give the committed solutions."""
+    pytest.importorskip("mpmath")
+    for inst in INSTANCES:
+        _assert_matches(_recorded(inst), inst["solution"])
 
 
 if __name__ == "__main__":

@@ -25,9 +25,21 @@ params = st.builds(
 
 @st.composite
 def branch(draw):
+    """A road and a state: interior, vacuum, standing, up to 1.2 rho_max or at its own sonic point."""
     p = draw(params)
-    rho = draw(st.floats(1e-3, 0.98 * p.rho_max))
     v = draw(st.floats(0.5, p.v_ref))
+    extreme = draw(st.sampled_from([None, "vacuum", "standing", "dense", "sonic"]))
+    if extreme == "vacuum":
+        rho = 0.0
+    elif extreme == "standing":
+        rho, v = draw(st.floats(1e-3, 1.2 * p.rho_max)), 0.0
+    elif extreme == "dense":
+        rho = draw(st.floats(0.98 * p.rho_max, 1.2 * p.rho_max))
+    elif extreme == "sonic":
+        # rho = sigma(v + p(rho)) where gamma p(rho) = v
+        rho = fd.pressure_inv(p, v / p.gamma) * draw(st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]))
+    else:
+        rho = draw(st.floats(1e-3, 0.98 * p.rho_max))
     return p, TrafficState(rho, v)
 
 
@@ -74,27 +86,66 @@ def test_fluxes_equal_solve_exactly(case):
         assert getattr(fl, name) == getattr(sol, name), name
 
 
-def _one_to_one_case():
-    p = RoadParams(180.0, 100.0, 1.2)
-    return JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,)), [
-        fd.equilibrium_state(p, 30.0), fd.equilibrium_state(p, 10.0)]
+def _roads_and_states():
+    a, b, c = RoadParams(180.0, 100.0, 1.2), RoadParams(90.0, 100.0, 1.7), RoadParams(120.0, 80.0, 2.0)
+    states = {a: TrafficState(30.0, 60.0), b: TrafficState(10.0, 70.0), c: TrafficState(0.0, 0.0)}
+    return a, b, c, states
+
+
+def _spec(kind, a, b, c):
+    return {
+        "one_to_one": JunctionSpec(JunctionKind.ONE_TO_ONE, (a,), (b,)),
+        "diverge": JunctionSpec(JunctionKind.DIVERGE, (a,), (b, c, a), alphas=(0.2, 0.3, 0.5)),
+        "merge": JunctionSpec(JunctionKind.MERGE, (a, c), (b,), priority=0.4),
+    }[kind]
+
+
+GUARD_CASES = [(kind, i) for kind, n in (("one_to_one", 2), ("diverge", 4), ("merge", 3))
+               for i in range(n)]
+
+
+def _raising(kernel, i, roads, excess, over):
+    """``kernel`` with branch i's flux raised to ``excess`` times its capacity, appended to ``over``."""
+    def raised(*args):
+        fl, bounds, caps = kernel(*args)
+        q, w = list(fl.q_in + fl.q_out), fl.w_in + fl.w_out
+        q[i] = excess * fd.capacity(roads[i], w[i])
+        n = len(fl.q_in)
+        over.append(dataclasses.replace(fl, q_in=tuple(q[:n]), q_out=tuple(q[n:])))
+        return over[-1], bounds, caps
+    return raised
 
 
 @pytest.mark.parametrize("excess, raises", [(1.01, True), (1.0 + 1e-7, False)])
 def test_capacity_guard(monkeypatch, excess, raises):
-    """A flux beyond capacity plus the relative slack raises on both paths; noise does not."""
-    spec, states = _one_to_one_case()
-    fl = jc.junction_fluxes(spec, states)
-    cap = float(fd.capacity(spec.incoming[0], fl.w_in[0]))
-    over = dataclasses.replace(fl, q_in=(excess * cap,), q_out=(excess * cap,))
-    monkeypatch.setattr(jc, "_single_inflow", lambda inc, outs, alphas: (over, (cap,), (cap,)))
-    if raises:
-        with pytest.raises(jc.InfeasibleFlux):
-            jc.junction_fluxes(spec, states)
-        with pytest.raises(jc.InfeasibleFlux):
-            jc.solve(spec, states)
-    else:
-        assert jc.junction_fluxes(spec, states) == over
+    """A flux beyond capacity plus the relative slack raises on both paths; noise does not.
+
+    For each branch of a 1-to-1 junction, a 1-to-3 diverge and a merge, the
+    real kernel runs and only that branch's flux is raised to ``excess`` times
+    the closed-form capacity along its attribute.
+    """
+    a, b, c, state = _roads_and_states()
+    # every attribute positive: a zero capacity admits no flux to raise
+    state[c] = TrafficState(20.0, 50.0)
+    kernels = {"_merge": jc._merge, "_single_inflow": jc._single_inflow}
+    escaped = []
+    for kind, i in GUARD_CASES:
+        spec = _spec(kind, a, b, c)
+        roads = spec.incoming + spec.outgoing
+        states = [state[p] for p in roads]
+        name = "_merge" if kind == "merge" else "_single_inflow"
+        over = []
+        monkeypatch.setattr(jc, name, _raising(kernels[name], i, roads, excess, over))
+        if not raises:
+            assert jc.junction_fluxes(spec, states) == over[-1], (kind, i)
+            continue
+        for run in (jc.junction_fluxes, jc.solve):
+            try:
+                run(spec, states)
+                escaped.append((run.__name__, kind, i))
+            except jc.InfeasibleFlux:
+                pass
+    assert escaped == []
 
 
 def _counting(monkeypatch, module, name):
@@ -109,31 +160,26 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _roads_and_states():
-    a, b, c = RoadParams(180.0, 100.0, 1.2), RoadParams(90.0, 100.0, 1.7), RoadParams(120.0, 80.0, 2.0)
-    states = {a: TrafficState(30.0, 60.0), b: TrafficState(10.0, 70.0), c: TrafficState(0.0, 0.0)}
-    return a, b, c, states
-
-
 @pytest.mark.parametrize("kind, n_in", [("one_to_one", 1), ("diverge", 1), ("merge", 2)])
 def test_one_demand_per_incoming_road(monkeypatch, kind, n_in):
     """Each incoming road's demand is evaluated once, not once per outgoing road.
 
-    The solvers go through the unchecked kernels: the checked public demand,
-    supply and attribute are not called at all.
+    The flux path evaluates one sonic point per branch: the capacity check
+    reuses the kernel's capacities.  The solvers go through the unchecked
+    kernels: the checked public demand, supply and attribute are not called at all.
     """
     a, b, c, state = _roads_and_states()
-    spec = {
-        "one_to_one": JunctionSpec(JunctionKind.ONE_TO_ONE, (a,), (b,)),
-        "diverge": JunctionSpec(JunctionKind.DIVERGE, (a,), (b, c, a), alphas=(0.2, 0.3, 0.5)),
-        "merge": JunctionSpec(JunctionKind.MERGE, (a, c), (b,), priority=0.4),
-    }[kind]
+    spec = _spec(kind, a, b, c)
     states = [state[p] for p in spec.incoming + spec.outgoing]
     demands = _counting(monkeypatch, fd, "_demand")
+    sonic = _counting(monkeypatch, fd, "_sonic_point")
     public = [_counting(monkeypatch, fd, name) for name in ("demand", "supply", "attribute")]
     for run in (jc.junction_fluxes, jc.solve):
         demands.clear()
+        sonic.clear()
         run(spec, states)
         assert len(demands) == n_in, run.__name__
         assert [call[0] for call in demands] == [s.rho for s in states[:n_in]]
+        if run is jc.junction_fluxes:
+            assert len(sonic) == len(states)
     assert public == [[], [], []]
