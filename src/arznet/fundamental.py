@@ -28,7 +28,7 @@ VACUUM_RHO = 1e-10
 class RoadParams:
     """Fundamental-diagram parameters of a single road."""
 
-    rho_max: float  # maximal density [veh/km]
+    rho_max: float  # the pressure law's reference density, not a bound on densities [veh/km]
     v_ref: float    # reference speed [km/h]
     gamma: float    # pressure exponent [-]
 
@@ -77,6 +77,10 @@ def _pressure(p: RoadParams, rho, out=None):
     return x
 
 
+def _pressure_inv(p: RoadParams, val):
+    return p.rho_max * (p.gamma * val / p.v_ref) ** (1.0 / p.gamma)
+
+
 def _sonic_point(p: RoadParams, c):
     return p.rho_max * (c * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (1.0 / p.gamma)
 
@@ -123,7 +127,7 @@ def pressure(p: RoadParams, rho):
 def pressure_inv(p: RoadParams, val):
     """Density at which the pressure equals ``val``."""
     _check_nonneg(val, "pressure value")
-    return p.rho_max * (p.gamma * val / p.v_ref) ** (1.0 / p.gamma)
+    return _pressure_inv(p, val)
 
 
 def sonic_point(p: RoadParams, c):
@@ -195,8 +199,8 @@ def equilibrium_density(p: RoadParams, q: float) -> float:
     """Free-flow density realizing the flux rho * V(rho) = q on the equilibrium curve."""
     _check_nonneg(q, "flux")
     q_cap = p.v_ref * p.rho_max / 4.0
-    if q > q_cap:
-        raise ValueError(f"flux {q} exceeds the equilibrium capacity {q_cap}")
+    if not q <= q_cap:  # a NaN fails this comparison too
+        raise ValueError(f"flux {q} is not within the equilibrium capacity {q_cap}")
     # at q = q_cap the discriminant is 0, but can round below it
     disc = max(p.rho_max**2 - 4.0 * p.rho_max * q / p.v_ref, 0.0)
     return 0.5 * (p.rho_max - math.sqrt(disc))

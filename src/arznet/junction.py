@@ -9,9 +9,9 @@ supply depend on the flux split itself; the merge solver resolves this with a
 two-step construction (priority-enforced split, then projection onto the Pareto
 front of the admissible flux set by clamped fixed points, each a bracketed
 scalar root).  Both kernels return the fluxes with one bound (a demand or a
-supply) and one capacity per branch, incoming first, each computed once:
-``junction_fluxes`` checks the fluxes against these capacities, and ``solve``
-finds the active bounds of its traces.  Both branch only on merge against single inflow.
+supply) and one sonic point per branch, incoming first, each computed once:
+``junction_fluxes`` checks each flux against the capacity at that point, and
+each trace of ``solve`` takes it to split its curve.  Both branch only on merge against single inflow.
 """
 
 from __future__ import annotations
@@ -63,19 +63,17 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
 
 
 def _demand_of(p: RoadParams, s: TrafficState):
-    """Attribute w = v + p(rho) of an incoming road's state, its demand and the capacity along w."""
+    """Attribute w = v + p(rho) of an incoming road's state, its demand and the sonic point along w."""
     p_rho = fd._pressure(p, s.rho)
     w = s.v + p_rho
     sigma = fd._sonic_point(p, w)
-    cap = fd._capacity(p, w, sigma)
-    return w, fd._demand(s.rho, p_rho, w, sigma, cap), cap
+    return w, fd._demand(s.rho, p_rho, w, sigma, fd._capacity(p, w, sigma)), sigma
 
 
 def _supply_for(p: RoadParams, v, w):
-    """Supply of an outgoing road at speed ``v`` for the attribute ``w``, and the capacity along w."""
+    """Supply of an outgoing road at speed ``v`` for the attribute ``w``, and the sonic point along w."""
     sigma = fd._sonic_point(p, w)
-    cap = fd._capacity(p, w, sigma)
-    return fd._supply(p, modified_density(p, w, v), w, sigma, cap), cap
+    return fd._supply(p, modified_density(p, w, v), w, sigma, fd._capacity(p, w, sigma)), sigma
 
 
 def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
@@ -123,6 +121,8 @@ class JunctionSpec:
         elif self.kind is JunctionKind.DIVERGE:
             if n != 1 or m < 1:
                 raise ValueError("diverge takes one incoming and m >= 1 outgoing roads")
+            if self.priority is not None:
+                raise ValueError(f"diverge takes no priority, got priority={self.priority}")
             if self.alphas is None or len(self.alphas) != m:
                 raise ValueError("diverge needs one assignment rate per outgoing road")
             if m == 1:
@@ -137,6 +137,8 @@ class JunctionSpec:
         elif self.kind is JunctionKind.MERGE:
             if (n, m) != (2, 1):
                 raise ValueError("merge takes two incoming roads and one outgoing road")
+            if self.alphas is not None:
+                raise ValueError(f"merge takes no assignment rates, got alphas={self.alphas}")
             _check_priority(self.priority)
 
 
@@ -178,16 +180,17 @@ def reconstruct_boundary_state(
     side: str,
     ref_state: TrafficState,
     bound_active: bool,
+    sigma: float,
 ) -> TrafficState:
     """Solve rho * (w - p(rho)) = q on the branch dictated by the side and active bound.
 
     Incoming roads take the congested root unless the demand bound is active;
-    outgoing roads take the free-flow root unless the supply bound is active.
-    The returned state generates only outward-moving waves against ``ref_state``.
+    outgoing roads take the free-flow root unless the supply bound is active; the
+    kernel's sonic point ``sigma`` along w splits the two.  The returned state
+    generates only outward-moving waves against ``ref_state``.
     """
     if side not in ("incoming", "outgoing"):
         raise ValueError(f"side must be 'incoming' or 'outgoing', got {side!r}")
-    sigma = fd.sonic_point(p, w)
     cap = fd._capacity(p, w, sigma)
     _check_capacity(q, cap, w)
     # resolve the trace density well below the flux tolerances used downstream
@@ -207,7 +210,7 @@ def reconstruct_boundary_state(
         else:
             # congested root: flux decreases from capacity at sigma to 0 at p^-1(w),
             # where the iteration starts
-            rho_jam = max(fd.pressure_inv(p, w), sigma)
+            rho_jam = max(fd._pressure_inv(p, w), sigma)
             rho = newton(fdf, rho_jam, sigma, rho_jam, tol)
     else:
         rho_t = modified_density(p, w, ref_state.v)
@@ -227,18 +230,18 @@ def _with_traces(
     incoming: Sequence[Branch],
     outgoing: Sequence[Branch],
     bounds: Sequence[float],
+    sigmas: Sequence[float],
 ) -> JunctionSolution:
     """Add the boundary traces to junction fluxes; a bound is active where the flux meets it."""
     tol = flux_tol(max(bounds))
-    b_in = tuple(
-        reconstruct_boundary_state(p, w, q, "incoming", s, abs(q - d) <= tol)
-        for (p, s), q, w, d in zip(incoming, fl.q_in, fl.w_in, bounds)
+    n = len(incoming)
+    traces = tuple(
+        reconstruct_boundary_state(p, w, q, "incoming" if i < n else "outgoing", s,
+                                   abs(q - bound) <= tol, sigma)
+        for i, ((p, s), q, w, bound, sigma) in enumerate(zip(
+            (*incoming, *outgoing), fl.q_in + fl.q_out, fl.w_in + fl.w_out, bounds, sigmas))
     )
-    b_out = tuple(
-        reconstruct_boundary_state(p, w, q, "outgoing", s, abs(q - sup) <= tol)
-        for (p, s), q, w, sup in zip(outgoing, fl.q_out, fl.w_out, bounds[len(incoming):])
-    )
-    return JunctionSolution(**vars(fl), boundary_in=b_in, boundary_out=b_out)
+    return JunctionSolution(**vars(fl), boundary_in=traces[:n], boundary_out=traces[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +249,18 @@ def _with_traces(
 # ---------------------------------------------------------------------------
 
 def _single_inflow(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]):
-    """1-to-m fluxes, with the demand and the supplies as bounds and their capacities.
+    """1-to-m fluxes, with the demand and the supplies as bounds and their sonic points.
 
     A 1-to-1 junction is the case m = 1 with alpha = 1, for which the
     division, the products and the one-term sum below are exact.
     """
-    w1, d1, cap1 = _demand_of(*incoming)
-    supplies, caps = zip(*[_supply_for(pj, sj.v, w1) for pj, sj in outgoings])
+    w1, d1, sigma1 = _demand_of(*incoming)
+    supplies, sigmas = zip(*[_supply_for(pj, sj.v, w1) for pj, sj in outgoings])
     q1 = min(d1, *(sup / a for sup, a in zip(supplies, alphas)))
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
     fl = JunctionFluxes(q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out))
-    return fl, (d1, *supplies), (cap1, *caps)
+    return fl, (d1, *supplies), (sigma1, *sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +456,9 @@ def _solve_merge_core(
 
 
 def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
-    """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their capacities."""
-    w1, delta1, cap1 = _demand_of(*in1)
-    w2, delta2, cap2 = _demand_of(*in2)
+    """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their sonic points."""
+    w1, delta1, sigma1 = _demand_of(*in1)
+    w2, delta2, sigma2 = _demand_of(*in2)
     if not attribute_gap_is_zero(w1, w2) and w1 > w2:
         # mirrored construction: swap the incoming roads and the priority
         geom = _merge_geometry(w2, w1, out)
@@ -471,15 +474,15 @@ def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     fl = JunctionFluxes(
         q_in=(q1, q2), q_out=(q3,), w_in=(w1, w2), w_out=(w_mix,), ratio=ratio, case=case,
     )
-    supply3, cap3 = _supply_for(out[0], out[1].v, w_mix)
-    return fl, (delta1, delta2, supply3), (cap1, cap2, cap3)
+    supply3, sigma3 = _supply_for(out[0], out[1].v, w_mix)
+    return fl, (delta1, delta2, supply3), (sigma1, sigma2, sigma3)
 
 
 def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> JunctionSolution:
     """Pareto-optimal priority-based Riemann solver for a 2-to-1 merge."""
     _check_priority(priority)
-    fl, bounds, _ = _merge(in1, in2, out, priority)
-    return _with_traces(fl, (in1, in2), (out,), bounds)
+    fl, bounds, sigmas = _merge(in1, in2, out, priority)
+    return _with_traces(fl, (in1, in2), (out,), bounds, sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +504,12 @@ def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> Junct
     """
     inc, out = _branches(spec, states)
     if spec.kind is JunctionKind.MERGE:
-        fl, _, caps = _merge(inc[0], inc[1], out[0], spec.priority)
+        fl, _, sigmas = _merge(inc[0], inc[1], out[0], spec.priority)
     else:  # a 1-to-1 junction is the diverge with alphas (1.0,)
-        fl, _, caps = _single_inflow(inc[0], out, spec.alphas or (1.0,))
-    for q, w, cap in zip(fl.q_in + fl.q_out, fl.w_in + fl.w_out, caps):
-        _check_capacity(q, cap, w)
+        fl, _, sigmas = _single_inflow(inc[0], out, spec.alphas or (1.0,))
+    for p, q, w, sigma in zip(spec.incoming + spec.outgoing, fl.q_in + fl.q_out,
+                              fl.w_in + fl.w_out, sigmas):
+        _check_capacity(q, fd._capacity(p, w, sigma), w)
     return fl
 
 
@@ -514,8 +518,8 @@ def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolutio
     inc, out = _branches(spec, states)
     if spec.kind is JunctionKind.MERGE:
         return solve_merge(inc[0], inc[1], out[0], spec.priority)
-    fl, bounds, _ = _single_inflow(inc[0], out, spec.alphas or (1.0,))
-    return _with_traces(fl, inc, out, bounds)
+    fl, bounds, sigmas = _single_inflow(inc[0], out, spec.alphas or (1.0,))
+    return _with_traces(fl, inc, out, bounds, sigmas)
 
 
 # ---------------------------------------------------------------------------

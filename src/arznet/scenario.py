@@ -130,7 +130,7 @@ def parse(data: dict) -> Scenario:
             spec = jn.JunctionSpec(kind, tuple(roads[r].params for r in in_ids),
                                    tuple(roads[r].params for r in out_ids), alphas, priority)
         except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+            raise ScenarioError(f"{where}: {exc}") from exc
         junctions.append(sim.NetworkJunction(spec, in_ids, out_ids))
 
     sim_entry = data.get("sim", {})

@@ -8,11 +8,17 @@ deletes or renames one of them fails here.
 """
 
 import ast
+import copy
 import importlib
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import arznet
+from arznet import cli, junction, oracle, scenario
+from test_cli import MERGE_DOC
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -33,6 +39,48 @@ def test_tracer_targets_exist(monkeypatch):
     finally:
         for name in ("tracer", "workloads"):
             sys.modules.pop(name, None)
+
+
+def test_tracer_sees_every_live_target(monkeypatch, tmp_path, capsys):
+    """Each tracer target but the known-dead ones records a call on a small merge.
+
+    A refactor that routes a call past its target's module attribute leaves
+    the target's metrics at 0 without a missing-target report; this names it.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    doc = copy.deepcopy(MERGE_DOC)
+    for road in doc["roads"]:
+        road["cells"] = 20
+    doc["sim"]["t_end"] = 0.001
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps(doc))
+    sc = scenario.load(path)
+    (nj,) = sc.junctions
+    states = scenario.junction_states(sc, nj)
+    ctx = oracle.MergeContext(*zip(nj.spec.incoming + nj.spec.outgoing, states))
+    try:
+        tracer = importlib.import_module("tracer")
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            for argv in (["solve"], ["simulate", "--out", str(tmp_path / "run")],
+                         ["pareto-dump", "--out", str(tmp_path / "pareto"), "--grid", "100"]):
+                assert cli.main([argv[0], "--scenario", str(path), *argv[1:]]) == 0
+            sol = junction.solve(nj.spec, states)
+            assert junction.check_admissibility(nj.spec, states, sol).ok
+            junction.check_consistency(nj.spec, states)
+            oracle.convexity_probe(ctx, trials=1, rng=np.random.default_rng(0))
+        finally:
+            tr.uninstall()
+        called = {name for _, name in tr.calls}
+        never = {name for name, _, _ in tracer.TARGETS} - called
+    finally:
+        for name in ("tracer", "workloads"):
+            sys.modules.pop(name, None)
+    # no solver calls ``bisect`` since the traces and the merge moved to Newton and
+    # regula falsi, nor the simulator ``interface_flux`` since its ghost-padded roads
+    assert never == {"rootfind.bisect", "sim.interface_flux"}
 
 
 def _arznet_reads(path: Path) -> set[tuple[str, str]]:

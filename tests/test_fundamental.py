@@ -221,6 +221,11 @@ class TestEquilibrium:
         with pytest.raises(ValueError):
             fd.equilibrium_density(ROAD1, 1e6)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flux_rejected(self, q):
+        with pytest.raises(ValueError):
+            fd.equilibrium_density(ROAD1, q)
+
     def test_capacity_is_half_the_jam_density(self):
         # rho_max^2 - 4 rho_max q / v_ref rounds to -1.1e-13 on this road at q = v_ref rho_max / 4
         p = RoadParams(rho_max=31.473, v_ref=41.983, gamma=1.0)

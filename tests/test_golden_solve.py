@@ -165,7 +165,7 @@ def _recorded(inst) -> dict:
     traces = out["boundary_in"] + out["boundary_out"]
     assert len(spy.call_args_list) == len(traces)
     for i, call in enumerate(spy.call_args_list):
-        p, w, q, side, _, bound_active = call.args
+        p, w, q, side, _, bound_active, _ = call.args
         if not bound_active:
             traces[i] = _exact_trace(p, w, q, side)
     n = len(out["boundary_in"])

@@ -142,6 +142,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JunctionSpec(JunctionKind.DIVERGE, (p,), (p, p), alphas=(0.6, 0.6))
 
+    @pytest.mark.parametrize("kind, n_in, n_out, field", [
+        (JunctionKind.MERGE, 2, 1, "alphas"), (JunctionKind.DIVERGE, 1, 2, "priority")])
+    def test_field_of_the_other_kind_rejected(self, kind, n_in, n_out, field):
+        """A merge takes no assignment rates and a diverge no priority: they would be ignored."""
+        p = RoadParams(1.0, 2.0, 2.0)
+        fields = {"alphas": (0.2, 0.8), "priority": 0.5}
+        with pytest.raises(ValueError, match=field):
+            JunctionSpec(kind, (p,) * n_in, (p,) * n_out, **fields)
+        other = "priority" if field == "alphas" else "alphas"
+        JunctionSpec(kind, (p,) * n_in, (p,) * n_out, **{other: fields[other]})
+
     def test_dispatch(self, monkeypatch):
         """``solve`` sends merges, and only merges, through ``solve_merge``."""
         p = RoadParams(1.0, 2.0, 2.0)

@@ -107,12 +107,12 @@ GUARD_CASES = [(kind, i) for kind, n in (("one_to_one", 2), ("diverge", 4), ("me
 def _raising(kernel, i, roads, excess, over):
     """``kernel`` with branch i's flux raised to ``excess`` times its capacity, appended to ``over``."""
     def raised(*args):
-        fl, bounds, caps = kernel(*args)
+        fl, bounds, sigmas = kernel(*args)
         q, w = list(fl.q_in + fl.q_out), fl.w_in + fl.w_out
         q[i] = excess * fd.capacity(roads[i], w[i])
         n = len(fl.q_in)
         over.append(dataclasses.replace(fl, q_in=tuple(q[:n]), q_out=tuple(q[n:])))
-        return over[-1], bounds, caps
+        return over[-1], bounds, sigmas
     return raised
 
 
@@ -160,26 +160,29 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+CHECKED = ("sonic_point", "pressure_inv", "capacity", "pressure", "demand", "supply", "attribute")
+
+
 @pytest.mark.parametrize("kind, n_in", [("one_to_one", 1), ("diverge", 1), ("merge", 2)])
 def test_one_demand_per_incoming_road(monkeypatch, kind, n_in):
     """Each incoming road's demand is evaluated once, not once per outgoing road.
 
-    The flux path evaluates one sonic point per branch: the capacity check
-    reuses the kernel's capacities.  The solvers go through the unchecked
-    kernels: the checked public demand, supply and attribute are not called at all.
+    Both paths evaluate one sonic point per branch: the flux path's capacity
+    check and the full solver's traces reuse the kernel's.  The solvers go
+    through the unchecked kernels: no checked public function of
+    ``fundamental`` is called at all.
     """
     a, b, c, state = _roads_and_states()
     spec = _spec(kind, a, b, c)
     states = [state[p] for p in spec.incoming + spec.outgoing]
     demands = _counting(monkeypatch, fd, "_demand")
     sonic = _counting(monkeypatch, fd, "_sonic_point")
-    public = [_counting(monkeypatch, fd, name) for name in ("demand", "supply", "attribute")]
+    public = {name: _counting(monkeypatch, fd, name) for name in CHECKED}
     for run in (jc.junction_fluxes, jc.solve):
         demands.clear()
         sonic.clear()
         run(spec, states)
         assert len(demands) == n_in, run.__name__
         assert [call[0] for call in demands] == [s.rho for s in states[:n_in]]
-        if run is jc.junction_fluxes:
-            assert len(sonic) == len(states)
-    assert public == [[], [], []]
+        assert len(sonic) == len(states), run.__name__
+    assert public == {name: [] for name in CHECKED}

@@ -115,6 +115,35 @@ class TestSingleInflowOracle:
             want = min(de, *(s / x for s, x in zip(sups, a)))
             assert got == pytest.approx(want, abs=de / 100_000)
 
+    def test_brackets_the_solver(self):
+        """On random 1-to-m junctions the solver's inflow lies within one grid step above the grid's.
+
+        The demand and the supplies come from the public ``fd.demand`` and
+        ``fd.supply`` at the modified densities, not from the solver's kernels.
+        """
+        rng = np.random.default_rng(151)
+        n = 4096
+        for _ in range(2000):
+            m = int(rng.integers(1, 4))
+            roads = [rand_params(rng) for _ in range(m + 1)]
+            states = [TrafficState(rng.uniform(0.0, 1.2 * p.rho_max), rng.uniform(0.5, p.v_ref))
+                      for p in roads]
+            if m == 1:
+                spec = jc.JunctionSpec(jc.JunctionKind.ONE_TO_ONE, (roads[0],), (roads[1],))
+                alphas = (1.0,)
+            else:
+                alphas = tuple(float(a) for a in rng.dirichlet((2.0,) * m))
+                spec = jc.JunctionSpec(jc.JunctionKind.DIVERGE, (roads[0],), tuple(roads[1:]),
+                                       alphas=alphas)
+            w = fd.attribute(roads[0], states[0])
+            d = fd.demand(roads[0], states[0].rho, w)
+            sups = [fd.supply(p, jc.modified_density(p, w, s.v), w)
+                    for p, s in zip(roads[1:], states[1:])]
+            ref = oracle.max_flux_single_inflow(d, sups, alphas, n)
+            q = jc.junction_fluxes(spec, states).q_in[0]
+            tol = jc.flux_tol(max(d, *sups))
+            assert ref - tol <= q <= ref + d / (n - 1) + tol
+
 
 class TestCsvDump:
     def test_roundtrip_columns(self, tmp_path):

@@ -130,6 +130,21 @@ class TestUnknownKeys:
         assert str(err.value).endswith("expected one of " + ", ".join(names))
 
 
+@pytest.mark.parametrize("doc, key, value", [(MERGE_DOC, "alphas", [0.3, 0.7]),
+                                             (DIVERGE_DOC, "priority", 0.5)])
+def test_field_of_the_other_kind_is_named(doc, key, value, tmp_path, capsys):
+    """A merge's ``alphas`` or a diverge's ``priority`` stops at ``parse``: the solver would ignore it."""
+    text = _with(doc, "junctions", 0, key, value)
+    with pytest.raises(scenario.ScenarioError, match=rf"^junctions\[0\]: .*{key}"):
+        scenario.parse(json.loads(text))
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: junctions[0]: ") and key in err
+    assert not (tmp_path / "run").exists()
+
+
 class TestSimulatorObjects:
     def test_junctions_are_network_junctions(self):
         sc = scenario.parse(MERGE_DOC)

@@ -57,7 +57,8 @@ def reconstruct(p, w, q, side):
         return rootfind.newton(counted, *args)
 
     with mock.patch.object(jc, "newton", counting):
-        s = jc.reconstruct_boundary_state(p, w, q, side, TrafficState(0.0, 0.0), False)
+        s = jc.reconstruct_boundary_state(p, w, q, side, TrafficState(0.0, 0.0), False,
+                                          fd.sonic_point(p, w))
     return s, len(evals)
 
 
