@@ -49,8 +49,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     sc = scenario.load(args.scenario)
     network = scenario.build_network(sc)
-    cfg = scenario.sim_config(sc, cfl=args.cfl, t_end=args.t_end)
-    result = sim.run(network, cfg)
+    result = sim.run(network, sc.sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sim.write_flux_csv(result, out / "fluxes.csv")
@@ -74,8 +73,8 @@ def cmd_capacity_drop(args) -> int:
     if len(sc.junctions) != 1 or sc.junctions[0].spec.kind is not JunctionKind.MERGE:
         raise ScenarioError("scenario must contain exactly one merge junction")
     nj = sc.junctions[0]
-    road1 = sc.road(nj.in_ids[0])
-    road2 = sc.road(nj.in_ids[1])
+    road1 = sc.roads[nj.in_ids[0]]
+    road2 = sc.roads[nj.in_ids[1]]
     sweep = [float(v) for v in args.sweep.split(",") if v.strip() != ""]
     if not sweep:
         raise ScenarioError("empty sweep")
@@ -89,16 +88,14 @@ def cmd_capacity_drop(args) -> int:
     rows = []
     for q2_desired in sweep:
         road2_k = dataclasses.replace(road2, rho0=fd.equilibrium_density(road2.params, q2_desired))
-        sc_k = dataclasses.replace(
-            sc, roads=[road2_k if r.road_id == road2.road_id else r for r in sc.roads])
+        sc_k = dataclasses.replace(sc, roads={**sc.roads, road2.road_id: road2_k})
         if args.direct:
-            sol = jn.solve(nj.spec, scenario.junction_states(sc_k, nj))
-            q1, q2 = sol.q_in
-            outflow = sol.q_out[0]
+            fl = jn.junction_fluxes(nj.spec, scenario.junction_states(sc_k, nj))
+            q1, q2 = fl.q_in
+            outflow = fl.q_out[0]
         else:
             network = scenario.build_network(sc_k)
-            cfg = scenario.sim_config(sc_k, cfl=args.cfl, t_end=args.t_end)
-            result = sim.run(network, cfg)
+            result = sim.run(network, sc_k.sim)
             q1 = result.steady_fluxes[nj.in_ids[0]]
             q2 = result.steady_fluxes[nj.in_ids[1]]
             outflow = result.steady_fluxes[nj.out_ids[0]]
@@ -133,13 +130,13 @@ def cmd_pareto_dump(args) -> int:
     ctx = oracle.MergeContext(in1, in2, out3)
     sample = oracle.sample_pareto(ctx, n=n)
 
-    sol = jn.solve(spec, states)
+    fl = jn.junction_fluxes(spec, states)
     geom = jn.merge_geometry(in1, in2, out3)
     priority = spec.priority
     f_p = min(ctx.delta1 / priority, ctx.delta2 / (1.0 - priority),
               jn.sigma_tilde(geom, priority))
     markers = [
-        ("solver", sol.q_in[0], sol.q_in[1]),
+        ("solver", fl.q_in[0], fl.q_in[1]),
         ("priority_split", priority * f_p, (1.0 - priority) * f_p),
     ]
     if geom.p_star is not None and 0.0 <= geom.p_star <= 1.0:
@@ -165,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the Godunov network simulation")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cfl", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("capacity-drop", help="sweep desired inflow of the second merge road")
@@ -174,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", required=True, help="comma-separated desired fluxes [veh/h]")
     p.add_argument("--out", default=None)
     p.add_argument("--direct", action="store_true", help="use the direct Riemann solver")
-    p.add_argument("--cfl", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None)
     p.set_defaults(func=cmd_capacity_drop)
 
     p = sub.add_parser("pareto-dump", help="dump the sampled feasible set of a merge")

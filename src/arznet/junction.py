@@ -587,7 +587,7 @@ class ConsistencyReport:
 def check_consistency(spec: JunctionSpec, states: Sequence[TrafficState]) -> ConsistencyReport:
     """Numerical self-consistency check: solve again from the reconstructed traces."""
     sol = solve(spec, states)
-    sol2 = solve(spec, sol.boundary_in + sol.boundary_out)
+    sol2 = junction_fluxes(spec, sol.boundary_in + sol.boundary_out)
     dev = max(
         max(abs(a - b) for a, b in zip(sol.q_in, sol2.q_in)),
         max(abs(a - b) for a, b in zip(sol.q_out, sol2.q_out)),

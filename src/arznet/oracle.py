@@ -9,6 +9,7 @@ and its Pareto front provides the validation targets for the solver outputs.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,7 +84,7 @@ class FeasibleSample:
     q2_axis: np.ndarray      # (n,) grid values along q2
     feasible: np.ndarray     # (n, n) bool, indexed [i, j] -> (q1_axis[i], q2_axis[j])
     pareto: np.ndarray       # (n, n) bool, non-dominated feasible points
-    resolution: tuple[float, float]
+    resolution: tuple[float, float]  # grid step along q1 and along q2
 
     def pareto_points(self) -> np.ndarray:
         """(k, 2) array of the sampled Pareto-front flux pairs."""
@@ -119,7 +120,7 @@ def sample_pareto(ctx: MergeContext, n: int = 512) -> FeasibleSample:
 
     return FeasibleSample(
         q1_axis=q1_axis, q2_axis=q2_axis, feasible=feas, pareto=pareto,
-        resolution=(d1 / n, d2 / n),
+        resolution=(float(q1_axis[1] - q1_axis[0]), float(q2_axis[1] - q2_axis[0])),
     )
 
 
@@ -171,12 +172,10 @@ def write_sample_csv(sample: FeasibleSample, path, extra_points=None) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q1", "q2", "feasible", "pareto"])
-        for i, q1 in enumerate(sample.q1_axis):
-            for j, q2 in enumerate(sample.q2_axis):
-                writer.writerow([
-                    repr(float(q1)), repr(float(q2)),
-                    int(sample.feasible[i, j]), int(sample.pareto[i, j]),
-                ])
+        q2 = [repr(q) for q in sample.q2_axis.tolist()]
+        for q1, feas, par in zip(sample.q1_axis.tolist(), sample.feasible.view(np.uint8),
+                                 sample.pareto.view(np.uint8)):
+            writer.writerows(zip(itertools.repeat(repr(q1)), q2, feas.tolist(), par.tolist()))
         if extra_points:
             writer.writerow([])
             writer.writerow(["label", "q1", "q2", ""])

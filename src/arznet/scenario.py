@@ -1,10 +1,11 @@
 """Scenario files: JSON description of roads, junctions and simulation settings.
 
-Junctions parse to ``sim.NetworkJunction``s holding their validated
-``JunctionSpec``, settings to a ``sim.SimConfig``; a malformed value or an
-unknown key raises a ``ScenarioError`` naming its field.  Roads are initialized
-on the Greenshields equilibrium curve, from a density ``rho0`` or a desired flux
-``q_desired`` (converted through the free-flow root).  Units are veh/km, km/h, veh/h.
+Roads parse to ``RoadSpec``s keyed by id, junctions to ``sim.NetworkJunction``s
+with their validated ``JunctionSpec``, settings to the run's one ``sim.SimConfig``;
+a malformed value or an unknown key raises a ``ScenarioError`` naming its field.
+Roads are initialized on the Greenshields equilibrium curve, from a density ``rho0``
+or a desired flux ``q_desired`` (converted through the free-flow root).  Units are
+veh/km, km/h, veh/h.
 """
 
 from __future__ import annotations
@@ -39,15 +40,9 @@ class RoadSpec:
 
 @dataclass
 class Scenario:
-    roads: list[RoadSpec]
+    roads: dict[str, RoadSpec]  # by road id, in file order
     junctions: list[sim.NetworkJunction]
     sim: sim.SimConfig = field(default_factory=sim.SimConfig)
-
-    def road(self, road_id: str) -> RoadSpec:
-        for r in self.roads:
-            if r.road_id == road_id:
-                return r
-        raise KeyError(road_id)
 
 
 def _require(cond, msg, *args):
@@ -143,7 +138,7 @@ def parse(data: dict) -> Scenario:
         settings = sim.SimConfig(**given)
     except ValueError as exc:
         raise ScenarioError(f"sim: {exc}") from exc
-    return Scenario(roads=list(roads.values()), junctions=junctions, sim=settings)
+    return Scenario(roads=roads, junctions=junctions, sim=settings)
 
 
 def load(path) -> Scenario:
@@ -158,7 +153,7 @@ def load(path) -> Scenario:
 def dump(scenario: Scenario) -> dict:
     """JSON document that re-parses to an identical scenario."""
     doc = {"roads": [], "junctions": [], "sim": dataclasses.asdict(scenario.sim)}
-    for r in scenario.roads:
+    for r in scenario.roads.values():
         doc["roads"].append({
             "id": r.road_id, "rho_max": r.params.rho_max, "v_ref": r.params.v_ref,
             "gamma": r.params.gamma, "length": r.length, "cells": r.cells, "rho0": r.rho0,
@@ -178,18 +173,12 @@ def build_junction_spec(scenario: Scenario, nj: sim.NetworkJunction) -> jn.Junct
 
 
 def junction_states(scenario: Scenario, nj: sim.NetworkJunction) -> list[TrafficState]:
-    return [scenario.road(rid).initial_state for rid in nj.in_ids + nj.out_ids]
+    return [scenario.roads[rid].initial_state for rid in nj.in_ids + nj.out_ids]
 
 
 def build_network(scenario: Scenario) -> sim.Network:
     roads = {
         r.road_id: sim.road_from_state(r.road_id, r.params, r.length, r.cells, r.initial_state)
-        for r in scenario.roads
+        for r in scenario.roads.values()
     }
     return sim.Network(roads=roads, junctions=list(scenario.junctions))
-
-
-def sim_config(scenario: Scenario, cfl=None, t_end=None) -> sim.SimConfig:
-    """The scenario's simulation settings with the command-line overrides that were given."""
-    overrides = {"cfl": cfl, "t_end": t_end}
-    return dataclasses.replace(scenario.sim, **{k: v for k, v in overrides.items() if v is not None})

@@ -58,8 +58,8 @@ class DiscretizedRoad:
     def dx(self) -> float:
         return self.length / self.cells
 
-    def boundary_state(self, end: str) -> TrafficState:
-        idx = 0 if end == "left" else -1
+    def boundary_state(self, idx: int) -> TrafficState:
+        """The state of the end cell at edge index ``idx``: 0 the left end, -1 the right."""
         return fd.from_conservative(self.params, float(self.rho[idx]), float(self.y[idx]))
 
     def total_mass(self) -> float:
@@ -95,16 +95,15 @@ class Network:
     def __post_init__(self):
         used = set()
         for j in self.junctions:
-            for rid, end in [(r, "right") for r in j.in_ids] + [(r, "left") for r in j.out_ids]:
+            for rid, idx in [(r, -1) for r in j.in_ids] + [(r, 0) for r in j.out_ids]:
                 if rid not in self.roads:
                     raise ValueError(f"junction references unknown road {rid!r}")
-                if (rid, end) in used:
-                    raise ValueError(f"road end {rid}/{end} attached to two junctions")
-                used.add((rid, end))
-        self._junction_ends = used
-
-    def is_external(self, road_id: str, end: str) -> bool:
-        return (road_id, end) not in self._junction_ends
+                if (rid, idx) in used:
+                    raise ValueError(f"road end ({rid!r}, {idx}) attached to two junctions")
+                used.add((rid, idx))
+        # (road id, edge index) of each end without a junction: in road order, left before right
+        self.external_ends = [(rid, idx) for rid in self.roads for idx in (0, -1)
+                              if (rid, idx) not in used]
 
 
 STEADY_WINDOW = 100    # consecutive steps below steady_tol that make a run steady
@@ -211,12 +210,11 @@ def _cells(road: DiscretizedRoad) -> _Cells:
     return _Cells(p, w, v, speed)
 
 
-def stable_dt(network: Network, cfl: float, cells: dict[str, _Cells] | None = None) -> float:
-    """CFL time step over all roads; ``cells`` reuses this step's ``_cells`` per road."""
+def stable_dt(network: Network, cfl: float, cells: dict[str, _Cells]) -> float:
+    """CFL time step over all roads, from this step's ``_cells`` per road."""
     dt = math.inf
     for rid, road in network.roads.items():
-        c = cells[rid] if cells is not None else _cells(road)
-        dt = min(dt, cfl * road.dx / c.speed)
+        dt = min(dt, cfl * road.dx / cells[rid].speed)
     return dt
 
 
@@ -224,8 +222,8 @@ def _junction_edges(network: Network) -> dict[tuple[str, int], tuple[float, floa
     """(mass flux, momentum flux, w) at each junction road end, keyed by (road id, edge index)."""
     edges = {}
     for nj in network.junctions:
-        states = [network.roads[rid].boundary_state("right") for rid in nj.in_ids]
-        states += [network.roads[rid].boundary_state("left") for rid in nj.out_ids]
+        states = [network.roads[rid].boundary_state(-1) for rid in nj.in_ids]
+        states += [network.roads[rid].boundary_state(0) for rid in nj.out_ids]
         fl = jn.junction_fluxes(nj.spec, states)
         mom_in = [q * wv for q, wv in zip(fl.q_in, fl.w_in)]
         for rid, q, mom, wv in zip(nj.in_ids, fl.q_in, mom_in, fl.w_in):
@@ -239,16 +237,14 @@ def _junction_edges(network: Network) -> dict[tuple[str, int], tuple[float, floa
     return edges
 
 
-def step(network: Network, dt: float, cells: dict[str, _Cells] | None = None):
+def step(network: Network, dt: float, cells: dict[str, _Cells]):
     """Advance every road by one conservative update of size ``dt``.
 
     Returns the junction-edge (q, w) per junction-adjacent road id and the
-    edge fluxes (mass, momentum) per road.  ``cells`` reuses this step's
+    edge fluxes (mass, momentum) per road.  ``cells`` holds this step's
     ``_cells`` per road.  Raises CFLViolation when ``dt`` exceeds the
     stability bound.
     """
-    if cells is None:
-        cells = {rid: _cells(road) for rid, road in network.roads.items()}
     for rid, road in network.roads.items():
         if dt > road.dx / cells[rid].speed * (1.0 + 1e-12):
             raise CFLViolation(f"dt={dt} exceeds the CFL bound on road {rid}")
@@ -314,12 +310,12 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
                 raise SolverFailure(f"non-finite state on road {rid} at step {steps}, t={t!r}")
         dt = min(stable_dt(network, cfg.cfl, cells), cfg.t_end - t)
         jf, edge = step(network, dt, cells)
-        for rid, road in network.roads.items():
+        for rid, idx in network.external_ends:
             fm, fy = edge[rid]
-            if network.is_external(rid, "left"):
+            if idx == 0:
                 ledger.mass_in += dt * float(fm[0])
                 ledger.momentum_in += dt * float(fy[0])
-            if network.is_external(rid, "right"):
+            else:
                 ledger.mass_out += dt * float(fm[-1])
                 ledger.momentum_out += dt * float(fy[-1])
         t += dt

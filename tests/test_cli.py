@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -71,7 +72,7 @@ class TestScenarioParsing:
 
     def test_q_desired_at_capacity(self):
         sc = scenario.parse(at_capacity_doc(CAP_Q))
-        assert sc.roads[1].rho0 == 0.5 * CAP_ROAD["rho_max"]
+        assert sc.roads["r2"].rho0 == 0.5 * CAP_ROAD["rho_max"]
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -145,6 +146,19 @@ class TestCliCommands:
         ])
         assert code == 0
         assert (out / "feasible.csv").exists()
+
+    def test_options_of_each_command(self):
+        """A run's settings come from the scenario alone: a new flag must show up here."""
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, p in commands.choices.items()}
+        assert options == {
+            "solve": {"--scenario"},
+            "simulate": {"--scenario", "--out"},
+            "capacity-drop": {"--scenario", "--sweep", "--out", "--direct"},
+            "pareto-dump": {"--scenario", "--out", "--grid"},
+        }
 
     def test_missing_scenario_is_exit_two(self, tmp_path, capsys):
         assert cli.main(["solve", "--scenario", str(tmp_path / "nope.json")]) == 2

@@ -67,7 +67,7 @@ def test_vector_edges_match_scalar_flux(case):
     r = sim.DiscretizedRoad("r", p, 1.0, n, np.array(rho), np.array(y),
                             ghost_left=g_left, ghost_right=g_right)
     states = [fd.from_conservative(p, float(a), float(b)) for a, b in zip(r.rho, r.y)]
-    _, edge = sim.step(sim.Network({"r": r}), 0.0)
+    _, edge = sim.step(sim.Network({"r": r}), 0.0, {"r": sim._cells(r)})
     fm, fy = edge["r"]
     atol = ATOL * p.rho_max * p.v_ref
     for i, (left, right) in enumerate(zip([g_left, *states], [*states, g_right])):

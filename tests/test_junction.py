@@ -168,6 +168,30 @@ class TestSpecValidation:
         assert len(calls) == 1
 
 
+class TestConsistency:
+    def test_one_trace_per_branch(self, monkeypatch):
+        """The re-solve from the traces needs only its fluxes: one trace per branch in all."""
+        p, q = RoadParams(180.0, 100.0, 1.2), RoadParams(90.0, 100.0, 1.7)
+        s, t = fd.equilibrium_state(p, 30.0), fd.equilibrium_state(q, 60.0)
+        cases = [
+            (JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (q,)), [s, t]),
+            (JunctionSpec(JunctionKind.DIVERGE, (p,), (q, p, q), alphas=(0.2, 0.3, 0.5)),
+             [s, t, s, t]),
+            (JunctionSpec(JunctionKind.MERGE, (p, p), (q,), priority=0.3), [s, s, t]),
+        ]
+        calls = []
+        reconstruct = jc.reconstruct_boundary_state
+        monkeypatch.setattr(jc, "reconstruct_boundary_state",
+                            lambda *a: calls.append(a) or reconstruct(*a))
+        for spec, states in cases:
+            sol = jc.solve(spec, states)
+            sol2 = jc.solve(spec, sol.boundary_in + sol.boundary_out)
+            dev = max(abs(a - b) for a, b in zip(sol.q_in + sol.q_out, sol2.q_in + sol2.q_out))
+            calls.clear()
+            assert jc.check_consistency(spec, states) == jc.ConsistencyReport(dev, sol.case)
+            assert len(calls) == len(states)
+
+
 class TestAdmissibility:
     def test_clean_one_to_one(self):
         rng = np.random.default_rng(59)

@@ -81,6 +81,13 @@ class TestParetoSample:
         if sample.feasible[1:, 1:].any():
             assert not sample.pareto[0, 0]
 
+    def test_resolution_is_the_grid_step(self):
+        rng = np.random.default_rng(139)
+        for n in (100, 512):
+            sample = oracle.sample_pareto(rand_context(rng), n=n)
+            assert sample.resolution == (sample.q1_axis[1] - sample.q1_axis[0],
+                                         sample.q2_axis[1] - sample.q2_axis[0])
+
     def test_solver_flux_lands_on_front(self):
         rng = np.random.default_rng(127)
         ctx = rand_context(rng)

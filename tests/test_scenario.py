@@ -82,7 +82,7 @@ class TestEdgeValues:
         with pytest.raises(scenario.ScenarioError, match=f"{key}: must be a whole number"):
             scenario.parse(doc)
         sc = scenario.parse(json.loads(_with(MERGE_DOC, section, index, key, 100.0)))
-        value = sc.roads[0].cells if key == "cells" else sc.sim.output_stride
+        value = sc.roads["r1"].cells if key == "cells" else sc.sim.output_stride
         assert value == 100 and type(value) is int
 
     def test_zero_output_stride_rejected(self):
@@ -150,8 +150,8 @@ class TestSimulatorObjects:
         sc = scenario.parse(MERGE_DOC)
         (nj,) = sc.junctions
         assert nj == sim.NetworkJunction(
-            jn.JunctionSpec(jn.JunctionKind.MERGE, (sc.roads[0].params, sc.roads[1].params),
-                            (sc.roads[2].params,), priority=0.5),
+            jn.JunctionSpec(jn.JunctionKind.MERGE, (sc.roads["r1"].params, sc.roads["r2"].params),
+                            (sc.roads["r3"].params,), priority=0.5),
             ("r1", "r2"), ("r3",))
         assert scenario.build_junction_spec(sc, nj) is nj.spec
         assert scenario.build_network(sc).junctions == sc.junctions

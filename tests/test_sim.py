@@ -27,6 +27,11 @@ def ramp_network(q2_desired, cells=100):
     return sim.Network(roads, [sim.NetworkJunction(spec, ("r1", "r2"), ("r3",))])
 
 
+def cells_of(net):
+    """Each road's cell quantities for one step, as ``sim.run`` passes them to ``step``."""
+    return {rid: sim._cells(road) for rid, road in net.roads.items()}
+
+
 class TestSingleRoad:
     def test_uniform_state_is_stationary(self):
         s = fd.equilibrium_state(ROAD_IN, 40.0)
@@ -59,8 +64,9 @@ class TestSingleRoad:
     def test_cfl_violation_raised(self):
         s = fd.equilibrium_state(ROAD_IN, 40.0)
         net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})
+        cells = cells_of(net)
         with pytest.raises(sim.CFLViolation):
-            sim.step(net, 10.0 * sim.stable_dt(net, 1.0))
+            sim.step(net, 10.0 * sim.stable_dt(net, 1.0, cells), cells)
 
 
 class TestContactArtifact:
@@ -129,7 +135,8 @@ class TestMergeNetwork:
     def test_outgoing_flux_is_exact_sum(self):
         net = ramp_network(2000.0)
         sim.run(net, sim.SimConfig(t_end=0.02))
-        jf, _ = sim.step(net, sim.stable_dt(net, 0.5))
+        cells = cells_of(net)
+        jf, _ = sim.step(net, sim.stable_dt(net, 0.5, cells), cells)
         assert jf["r3"][0] == jf["r1"][0] + jf["r2"][0]
 
     def test_network_mass_ledger(self):
