@@ -11,7 +11,6 @@ from .fundamental import (
     attribute,
     capacity,
     demand,
-    eigenvalues,
     pressure,
     pressure_inv,
     sonic_point,
@@ -40,7 +39,6 @@ __all__ = [
     "attribute",
     "capacity",
     "demand",
-    "eigenvalues",
     "pressure",
     "pressure_inv",
     "sonic_point",

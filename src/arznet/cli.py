@@ -78,16 +78,14 @@ def cmd_capacity_drop(args) -> int:
     sweep = [float(v) for v in args.sweep.split(",") if v.strip() != ""]
     if not sweep:
         raise ScenarioError("empty sweep")
-    q2_cap = road2.params.v_ref * road2.params.rho_max / 4.0
-    for q in sweep:
-        if not 0.0 <= q <= q2_cap:
-            raise ScenarioError(f"sweep value {q} outside [0, {q2_cap}]")
+    # fundamental checks every sweep value here, before the first run
+    rho2 = [fd.equilibrium_density(road2.params, q) for q in sweep]
     s1 = road1.initial_state
     desired1 = s1.rho * s1.v
 
     rows = []
-    for q2_desired in sweep:
-        road2_k = dataclasses.replace(road2, rho0=fd.equilibrium_density(road2.params, q2_desired))
+    for q2_desired, rho0 in zip(sweep, rho2):
+        road2_k = dataclasses.replace(road2, rho0=rho0)
         sc_k = dataclasses.replace(sc, roads={**sc.roads, road2.road_id: road2_k})
         if args.direct:
             fl = jn.junction_fluxes(nj.spec, scenario.junction_states(sc_k, nj))
@@ -139,9 +137,11 @@ def cmd_pareto_dump(args) -> int:
         ("solver", fl.q_in[0], fl.q_in[1]),
         ("priority_split", priority * f_p, (1.0 - priority) * f_p),
     ]
-    if geom.p_star is not None and 0.0 <= geom.p_star <= 1.0:
-        s_star = jn.sigma_tilde(geom, geom.p_star)
-        markers.append(("stationary", geom.p_star * s_star, (1.0 - geom.p_star) * s_star))
+    # the solver mirrors a merge with w1 > w2; its stationary ratio of q1 is then P**
+    p_stat = geom.p_star2 if geom.dw > 0 else geom.p_star
+    if p_stat is not None and 0.0 <= p_stat <= 1.0:
+        s_star = jn.sigma_tilde(geom, p_stat)
+        markers.append(("stationary", p_stat * s_star, (1.0 - p_stat) * s_star))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

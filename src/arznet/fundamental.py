@@ -160,13 +160,6 @@ def supply(p: RoadParams, rho, c):
     return _supply(p, rho, c, sigma, _capacity(p, c, sigma))
 
 
-def eigenvalues(p: RoadParams, s: TrafficState):
-    """Characteristic speeds (lambda_1, lambda_2) = (v - rho p'(rho), v)."""
-    # rho * p'(rho) = gamma * p(rho) for the power-law pressure
-    lam1 = s.v - p.gamma * _pressure(p, s.rho)
-    return lam1, s.v
-
-
 def lambda1(p: RoadParams, rho, c):
     """First characteristic speed along {w = c}: c - (1 + gamma) p(rho)."""
     return c - (1.0 + p.gamma) * pressure(p, rho)

@@ -11,7 +11,8 @@ front of the admissible flux set by clamped fixed points, each a bracketed
 scalar root).  Both kernels return the fluxes with one bound (a demand or a
 supply) and one sonic point per branch, incoming first, each computed once:
 ``junction_fluxes`` checks each flux against the capacity at that point, and
-each trace of ``solve`` takes it to split its curve.  Both branch only on merge against single inflow.
+each trace of ``solve`` takes it to split its curve.  Both entry points call
+the merge kernel for a merge and the single-inflow kernel otherwise.
 """
 
 from __future__ import annotations
@@ -76,21 +77,19 @@ def _supply_for(p: RoadParams, v, w):
     return fd._supply(p, modified_density(p, w, v), w, sigma, fd._capacity(p, w, sigma)), sigma
 
 
-def demand_supply(left: RoadParams, rho, p_rho, w, right: RoadParams, v):
-    """Godunov demand of a left state and supply of the right road for its attribute.
+def demand_supply(p: RoadParams, rho, p_rho, w, v):
+    """Godunov demand of a left state and supply of the right state on one road.
 
     The left state is the density ``rho``, its pressure ``p_rho = p(rho)`` and
-    its attribute ``w`` on road ``left``; the right road takes ``w`` at its
-    own speed ``v`` (the modified density).  The 1-to-1 flux is
-    ``min(demand, supply)``.  Floats or arrays; the sonic point and the
-    capacity along ``{w = const}`` are evaluated once when ``right is left``.
+    its attribute ``w``; the right state takes ``w`` at its own speed ``v``
+    (the modified density).  The interior-edge flux is ``min(demand, supply)``;
+    a flux between two roads is a 1-to-1 junction solve.  Floats or arrays;
+    the sonic point and the capacity along ``{w = const}`` are evaluated once.
     """
-    sigma = fd._sonic_point(left, w)
-    cap = fd._capacity(left, w, sigma)
+    sigma = fd._sonic_point(p, w)
+    cap = fd._capacity(p, w, sigma)
     demand = fd._demand(rho, p_rho, w, sigma, cap)
-    if right is not left:
-        return demand, _supply_for(right, v, w)[0]
-    return demand, fd._supply(right, modified_density(right, w, v), w, sigma, cap)
+    return demand, fd._supply(p, modified_density(p, w, v), w, sigma, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def sample_pareto(ctx: MergeContext, n: int = 512) -> FeasibleSample:
     feas = np.empty((n, n), dtype=bool)
     for lo in range(0, n, _GRID_ROWS):
         rows = slice(lo, lo + _GRID_ROWS)
-        feas[rows] = feasible(ctx, *np.meshgrid(q1_axis[rows], q2_axis, indexing="ij"))
+        feas[rows] = feasible(ctx, q1_axis[rows, None], q2_axis[None, :])
 
     # A grid point is dominated iff some feasible point has strictly larger
     # indices in both coordinates (grid steps exceed the flux tolerance).

@@ -47,7 +47,8 @@ class DiscretizedRoad:
             raise ValueError("road needs positive length and at least one cell")
         if self.rho.shape != (self.cells,) or self.y.shape != (self.cells,):
             raise ValueError("state arrays must have one entry per cell")
-        if np.any(self.rho < 0) or np.any(self.y < 0):
+        # a NaN fails the comparison: rejected here, not at the first step
+        if not (np.all(self.rho >= 0) and np.all(self.y >= 0)):
             raise ValueError("rho and y must be non-negative")
         if self.ghost_left is None:
             self.ghost_left = fd.from_conservative(self.params, self.rho[0], self.y[0])
@@ -163,14 +164,11 @@ class SimResult:
     steady_fluxes: dict[str, float]
 
 
+# no caller in the package: kept by name for the benchmark's tracer, which wraps it
 def interface_flux(left: jn.Branch, right: jn.Branch) -> tuple[float, float]:
-    """Godunov flux at a cell interface: (mass flux, momentum flux)."""
-    p_l, s_l = left
-    p_r, s_r = right
-    p_rho = fd._pressure(p_l, s_l.rho)
-    w_l = s_l.v + p_rho if s_l.rho >= fd.VACUUM_RHO else s_l.v
-    q = min(jn.demand_supply(p_l, s_l.rho, p_rho, w_l, p_r, s_r.v))
-    return q, w_l * q
+    """Godunov flux between two states, the 1-to-1 junction's: (mass flux, momentum flux)."""
+    fl = jn._single_inflow(left, (right,), (1.0,))[0]
+    return fl.q_in[0], fl.q_in[0] * fl.w_in[0]
 
 
 class _Cells(NamedTuple):
@@ -257,7 +255,7 @@ def step(network: Network, dt: float, cells: dict[str, _Cells]):
         # fewer arrays stay alive across the step
         rho = np.empty(road.cells + 1)
         rho[0], rho[1:] = road.ghost_left.rho, road.rho
-        de, su = jn.demand_supply(road.params, rho, c.p, c.w, road.params, c.v)
+        de, su = jn.demand_supply(road.params, rho, c.p, c.w, c.v)
         fm = np.minimum(de, su, out=de)
         edge[rid] = (fm, c.w * fm)
 

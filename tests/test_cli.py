@@ -32,6 +32,29 @@ def at_capacity_doc(q_desired):
     return doc
 
 
+# w1 > w2: the solver mirrors this merge and solves it as H1a' at the stationary split P**
+MIRRORED_MERGE_DOC = {
+    "roads": [
+        {"id": "r1", "rho_max": 89.8, "v_ref": 120.8, "gamma": 0.86, "rho0": 9.4,
+         "length": 1.0, "cells": 10},
+        {"id": "r2", "rho_max": 92.4, "v_ref": 101.8, "gamma": 2.58, "rho0": 54.2,
+         "length": 1.0, "cells": 10},
+        {"id": "r3", "rho_max": 213.3, "v_ref": 65.0, "gamma": 0.63, "rho0": 156.3,
+         "length": 1.0, "cells": 10},
+    ],
+    "junctions": [
+        {"kind": "merge", "in": ["r1", "r2"], "out": ["r3"], "priority": 0.36},
+    ],
+}
+
+
+def marker_rows(path):
+    """The marker rows of a ``feasible.csv``, by label."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[lines.index("label,q1,q2,") + 1:]]
+    return {label: (float(q1), float(q2)) for label, q1, q2, _ in rows}
+
+
 @pytest.fixture
 def merge_file(tmp_path):
     path = tmp_path / "merge.json"
@@ -146,6 +169,30 @@ class TestCliCommands:
         ])
         assert code == 0
         assert (out / "feasible.csv").exists()
+
+    def test_pareto_dump_marks_stationary_split_of_mirrored_merge(self, tmp_path, capsys):
+        path = tmp_path / "mirrored.json"
+        path.write_text(json.dumps(MIRRORED_MERGE_DOC))
+        assert cli.main(["solve", "--scenario", str(path)]) == 0
+        assert "case: H1a'" in capsys.readouterr().out
+        out = tmp_path / "pareto"
+        assert cli.main(["pareto-dump", "--scenario", str(path), "--out", str(out),
+                         "--grid", "100"]) == 0
+        markers = marker_rows(out / "feasible.csv")
+        assert markers["stationary"] == pytest.approx(markers["solver"], rel=1e-12)
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("0,99999", "flux 99999.0 is not within the equilibrium capacity 4500.0"),
+        ("0,nan", "flux nan is not within the equilibrium capacity 4500.0"),
+        ("0,-1", "flux must be non-negative, got -1.0"),
+    ], ids=["above-capacity", "nan", "negative"])
+    def test_capacity_drop_rejects_sweep_before_any_run(self, merge_file, monkeypatch, capsys,
+                                                        sweep, message):
+        def no_run(network, cfg):
+            raise AssertionError("capacity-drop ran a simulation")
+        monkeypatch.setattr(sim, "run", no_run)
+        assert cli.main(["capacity-drop", "--scenario", str(merge_file), f"--sweep={sweep}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_options_of_each_command(self):
         """A run's settings come from the scenario alone: a new flag must show up here."""

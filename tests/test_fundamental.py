@@ -153,23 +153,23 @@ class TestDemandSupply:
 
 
 class TestEigenvalues:
+    """lambda_1 = w - (1 + gamma) p(rho) at w = v + p(rho), and lambda_2 = v."""
+
     def test_vacuum_collapse(self):
-        lam1, lam2 = fd.eigenvalues(TOY, TrafficState(0.0, 1.3))
-        assert lam1 == lam2 == 1.3
+        s = TrafficState(0.0, 1.3)
+        assert fd.lambda1(TOY, s.rho, fd.attribute(TOY, s)) == s.v == 1.3
 
     def test_closed_form(self):
-        # rho p'(rho) = gamma p(rho) = 2 at (rho=1, v=1)
-        lam1, lam2 = fd.eigenvalues(TOY, TrafficState(1.0, 1.0))
-        assert lam1 == pytest.approx(-1.0)
-        assert lam2 == pytest.approx(1.0)
+        # lambda_1 = v - gamma p(rho) = 1 - 2 at (rho=1, v=1)
+        s = TrafficState(1.0, 1.0)
+        assert fd.lambda1(TOY, s.rho, fd.attribute(TOY, s)) == pytest.approx(-1.0)
 
     def test_strict_hyperbolicity(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
             p = rand_params(rng)
             s = TrafficState(rng.uniform(1e-6, p.rho_max), rng.uniform(0, p.v_ref))
-            lam1, lam2 = fd.eigenvalues(p, s)
-            assert lam1 < lam2
+            assert fd.lambda1(p, s.rho, fd.attribute(p, s)) < s.v
 
 
 class TestStateConversions:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ class TestParetoSample:
             sample = oracle.sample_pareto(ctx, n=n)
             q1g, q2g = np.meshgrid(sample.q1_axis, sample.q2_axis, indexing="ij")
             np.testing.assert_array_equal(sample.feasible, oracle.feasible(ctx, q1g, q2g))
+
+    def test_peak_memory_of_a_512_grid(self):
+        """The axes broadcast against each other: no meshgrid of a row block is allocated."""
+        ctx = rand_context(np.random.default_rng(113))
+        oracle.sample_pareto(ctx, n=512)  # the context's cached demands, outside the trace
+        tracemalloc.start()
+        try:
+            oracle.sample_pareto(ctx, n=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0e6
 
     def test_pareto_subset_of_feasible(self):
         rng = np.random.default_rng(107)

@@ -89,24 +89,40 @@ def test_equilibrium_density(p, fraction):
 
 @st.composite
 def one_to_one_edge(draw):
-    """Left road and state, right road and speed; the speed may exceed the attribute."""
-    left = draw(params)
-    right = draw(st.one_of(st.just(left), params))
-    rho = draw(densities(left))
-    w = fd._pressure(left, rho) + draw(speeds(left))
-    return left, rho, w, right, draw(speeds(right))
+    """Road, left density and attribute, and right speed; the speed may exceed the attribute."""
+    p = draw(params)
+    rho = draw(densities(p))
+    w = fd._pressure(p, rho) + draw(speeds(p))
+    return p, rho, w, draw(speeds(p))
 
 
 @hypothesis.settings(max_examples=400, deadline=None)
 @hypothesis.given(one_to_one_edge())
 def test_junction_kernels(case):
-    left, rho, w, right, v = case
-    rho_t = check(jc.modified_density, right, w, v)
+    p, rho, w, v = case
+    rho_t = check(jc.modified_density, p, w, v)
     if w < v:
         assert rho_t == 0.0
-    p_rho = fd._pressure(left, rho)
-    check(lambda *a: jc.demand_supply(*a)[0], left, rho, p_rho, w, right, v)
-    check(lambda *a: jc.demand_supply(*a)[1], left, rho, p_rho, w, right, v)
+    p_rho = fd._pressure(p, rho)
+    check(lambda *a: jc.demand_supply(*a)[0], p, rho, p_rho, w, v)
+    check(lambda *a: jc.demand_supply(*a)[1], p, rho, p_rho, w, v)
+
+
+@st.composite
+def cross_road_edge(draw):
+    """An outgoing road and its speed, and the attribute of a state on another road."""
+    left = draw(params)
+    w = fd._pressure(left, draw(densities(left))) + draw(speeds(left))
+    right = draw(params)
+    return right, draw(speeds(right)), w
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(cross_road_edge())
+def test_cross_road_supply(case):
+    p, v, w = case
+    check(lambda *a: jc._supply_for(*a)[0], p, v, w)
+    check(lambda *a: jc._supply_for(*a)[1], p, v, w)
 
 
 @st.composite

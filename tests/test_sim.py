@@ -97,6 +97,13 @@ class TestNonFinite:
         with pytest.raises(ValueError, match=field):
             sim.SimConfig(**{"t_end": 0.05, field: bad})
 
+    @pytest.mark.parametrize("field", ["rho", "y"])
+    def test_nan_cell_rejected_at_construction(self, field):
+        arrays = {"rho": np.full(20, 40.0), "y": np.full(20, 3000.0)}
+        arrays[field][5] = math.nan
+        with pytest.raises(ValueError, match="rho and y must be non-negative"):
+            sim.DiscretizedRoad("r", ROAD_IN, 1.0, 20, arrays["rho"], arrays["y"])
+
     def test_nan_state_fails_the_run(self):
         s = fd.equilibrium_state(ROAD_IN, 40.0)
         net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 1.0, 20, s)})
@@ -106,17 +113,29 @@ class TestNonFinite:
             sim.run(net, sim.SimConfig(t_end=0.05))
 
 
+def random_state(rng, p):
+    """Vacuum (speed v_ref, as ``from_conservative`` reports it), near vacuum, or up to near jam."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return TrafficState(0.0, p.v_ref)
+    rho = rng.uniform(0.0, 0.5 * fd.VACUUM_RHO) if kind == 1 else rng.uniform(1e-3, 0.98 * p.rho_max)
+    return TrafficState(rho, rng.uniform(0.5, p.v_ref))
+
+
 class TestInterfaceFlux:
     def test_matches_one_to_one_solver(self):
+        """The flux between two states, on one road or two, is the 1-to-1 junction's, bit for bit."""
         rng = np.random.default_rng(151)
-        for _ in range(200):
-            p = RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
-            sl = TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
-            sr = TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
-            q, qw = sim.interface_flux((p, sl), (p, sr))
-            sol = jc.solve(JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,)), [sl, sr])
-            assert q == pytest.approx(sol.q_in[0], rel=1e-12, abs=1e-12)
-            assert qw == pytest.approx(q * sol.w_in[0], rel=1e-12, abs=1e-12)
+        for k in range(400):
+            pl = RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
+            pr = pl if k % 2 else RoadParams(rng.uniform(20, 300), rng.uniform(40, 160),
+                                            rng.uniform(0.5, 4.0))
+            sl, sr = random_state(rng, pl), random_state(rng, pr)
+            fl = jc.junction_fluxes(JunctionSpec(JunctionKind.ONE_TO_ONE, (pl,), (pr,)), [sl, sr])
+            q, qw = sim.interface_flux((pl, sl), (pr, sr))
+            assert (q, qw) == (fl.q_in[0], fl.q_in[0] * fl.w_in[0])
+            if sl.rho == 0.0:
+                assert q == 0.0
 
 
 class TestMergeNetwork:
