@@ -63,8 +63,8 @@ def cmd_simulate(args) -> int:
         fh.write(f"momentum,{led.initial_momentum!r},{led.final_momentum!r},"
                  f"{led.momentum_in!r},{led.momentum_out!r},{r_mom!r}\n")
     print(f"steps: {result.steps}  t_end: {result.times[-1]:.6f}  steady: {result.steady}")
-    for rid, q in result.steady_fluxes.items():
-        print(f"junction flux {rid}: {q:.6f}")
+    for label, q in zip(sim.end_labels(result.steady_fluxes), result.steady_fluxes.values()):
+        print(f"junction flux {label}: {q:.6f}")
     return EXIT_OK
 
 
@@ -94,9 +94,9 @@ def cmd_capacity_drop(args) -> int:
         else:
             network = scenario.build_network(sc_k)
             result = sim.run(network, sc_k.sim)
-            q1 = result.steady_fluxes[nj.in_ids[0]]
-            q2 = result.steady_fluxes[nj.in_ids[1]]
-            outflow = result.steady_fluxes[nj.out_ids[0]]
+            q = result.steady_fluxes
+            q1, q2 = q[nj.in_ids[0], -1], q[nj.in_ids[1], -1]
+            outflow = q[nj.out_ids[0], 0]
         total = q1 + q2
         r1 = q1 / total if total > 0 else float("nan")
         rows.append((desired1, q1, q2_desired, q2, outflow, r1, 1.0 - r1))
@@ -130,12 +130,9 @@ def cmd_pareto_dump(args) -> int:
 
     fl = jn.junction_fluxes(spec, states)
     geom = jn.merge_geometry(in1, in2, out3)
-    priority = spec.priority
-    f_p = min(ctx.delta1 / priority, ctx.delta2 / (1.0 - priority),
-              jn.sigma_tilde(geom, priority))
     markers = [
         ("solver", fl.q_in[0], fl.q_in[1]),
-        ("priority_split", priority * f_p, (1.0 - priority) * f_p),
+        ("priority_split", *jn.priority_split(in1, in2, out3, spec.priority)),
     ]
     # the solver mirrors a merge with w1 > w2; its stationary ratio of q1 is then P**
     p_stat = geom.p_star2 if geom.dw > 0 else geom.p_star

@@ -399,6 +399,14 @@ def _clamped_fixed_point(
     return regula_falsi(h, floor, cap, h_floor, h_cap, tol)
 
 
+def _priority_split(geom: MergeGeometry, delta1: float, delta2: float, priority: float):
+    """Step 1 of the merge construction: the exact priority split P f_p, (1 - P) f_p, then f_p and
+    Sigma~(P).  P and its complement lie in ]0,1[ (_check_priority)."""
+    s_p = _sigma_tilde_unchecked(geom, priority)
+    f_p = min(delta1 / priority, delta2 / (1.0 - priority), s_p)
+    return priority * f_p, (1.0 - priority) * f_p, f_p, s_p
+
+
 def _solve_merge_core(
     geom: MergeGeometry, delta1: float, delta2: float, priority: float
 ) -> tuple[float, float, str]:
@@ -411,12 +419,8 @@ def _solve_merge_core(
     E2/H1b/H2b fix q1 = delta1 and E3/H2a/H2c fix q2 = delta2; only the floor
     of the free coordinate differs.
     """
-    # Step 1: the outflow allowed if the priority split were enforced exactly;
-    # the priority and its complement lie in ]0,1[ (_check_priority).
-    s_p = _sigma_tilde_unchecked(geom, priority)
-    f_p = min(delta1 / priority, delta2 / (1.0 - priority), s_p)
-    q1_tilde = priority * f_p
-    q2_tilde = (1.0 - priority) * f_p
+    # Step 1, shared with the public priority_split
+    q1_tilde, q2_tilde, f_p, s_p = _priority_split(geom, delta1, delta2, priority)
     tol = flux_tol(max(1.0, delta1, delta2, s_p))
     supply_binds = s_p <= f_p + tol
     # the exact minimum, not one within tol of it: fixing q1 = delta1 (E2, H2b)
@@ -454,17 +458,31 @@ def _solve_merge_core(
     return min(q1_star, delta1), min(q2_star, delta2), "H1a"
 
 
+def _oriented(w1: float, w2: float, delta1: float, delta2: float, out: Branch, priority: float):
+    """Whether the merge is mirrored (w1 > w2: roads and priority swapped), and the
+    (geometry, demands, priority) that its construction takes."""
+    if not attribute_gap_is_zero(w1, w2) and w1 > w2:
+        return True, (_merge_geometry(w2, w1, out), delta2, delta1, 1.0 - priority)
+    return False, (_merge_geometry(w1, w2, out), delta1, delta2, priority)
+
+
+def priority_split(in1: Branch, in2: Branch, out: Branch, priority: float) -> tuple[float, float]:
+    """The fluxes (q1, q2) of the merge solver's first step, mirrored as the solver mirrors the merge."""
+    _check_priority(priority)
+    (w1, delta1, _), (w2, delta2, _) = _demand_of(*in1), _demand_of(*in2)
+    mirrored, args = _oriented(w1, w2, delta1, delta2, out, priority)
+    q1, q2, _, _ = _priority_split(*args)
+    return (q2, q1) if mirrored else (q1, q2)
+
+
 def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their sonic points."""
     w1, delta1, sigma1 = _demand_of(*in1)
     w2, delta2, sigma2 = _demand_of(*in2)
-    if not attribute_gap_is_zero(w1, w2) and w1 > w2:
-        # mirrored construction: swap the incoming roads and the priority
-        geom = _merge_geometry(w2, w1, out)
-        q2, q1, case = _solve_merge_core(geom, delta2, delta1, 1.0 - priority)
-        case += "'"
-    else:
-        q1, q2, case = _solve_merge_core(_merge_geometry(w1, w2, out), delta1, delta2, priority)
+    mirrored, args = _oriented(w1, w2, delta1, delta2, out, priority)
+    q1, q2, case = _solve_merge_core(*args)
+    if mirrored:
+        q1, q2, case = q2, q1, case + "'"
 
     q3 = q1 + q2
     w_p = w2 + priority * (w1 - w2)

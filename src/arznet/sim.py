@@ -47,9 +47,9 @@ class DiscretizedRoad:
             raise ValueError("road needs positive length and at least one cell")
         if self.rho.shape != (self.cells,) or self.y.shape != (self.cells,):
             raise ValueError("state arrays must have one entry per cell")
-        # a NaN fails the comparison: rejected here, not at the first step
-        if not (np.all(self.rho >= 0) and np.all(self.y >= 0)):
-            raise ValueError("rho and y must be non-negative")
+        # a NaN fails both comparisons: rejected here, not at the first step
+        if not all(0 <= x.min() and x.max() < math.inf for x in (self.rho, self.y)):
+            raise ValueError("rho and y must be non-negative and finite")
         if self.ghost_left is None:
             self.ghost_left = fd.from_conservative(self.params, self.rho[0], self.y[0])
         if self.ghost_right is None:
@@ -154,14 +154,24 @@ class MassLedger:
 @dataclass
 class SimResult:
     times: np.ndarray
-    # per junction-adjacent road id: array of (q, w) rows aligned with `times`
-    flux_series: dict[str, np.ndarray]
+    # per junction road end, in junction order: (q, w) rows aligned with `times`
+    flux_series: dict[tuple[str, int], np.ndarray]
     final_rho: dict[str, np.ndarray]
     final_v: dict[str, np.ndarray]
     ledger: MassLedger
     steps: int
     steady: bool
-    steady_fluxes: dict[str, float]
+
+    @property
+    def steady_fluxes(self) -> dict[tuple[str, int], float]:
+        """The last recorded flux at each junction road end."""
+        return {end: float(arr[-1, 0]) for end, arr in self.flux_series.items()}
+
+
+def end_labels(ends) -> list[str]:
+    """Name of each (road id, edge index): the road id, or b[0] and b[-1] for a road b at both ends."""
+    rids = [rid for rid, _ in ends]
+    return [rid if rids.count(rid) == 1 else f"{rid}[{idx}]" for rid, idx in ends]
 
 
 # no caller in the package: kept by name for the benchmark's tracer, which wraps it
@@ -238,10 +248,10 @@ def _junction_edges(network: Network) -> dict[tuple[str, int], tuple[float, floa
 def step(network: Network, dt: float, cells: dict[str, _Cells]):
     """Advance every road by one conservative update of size ``dt``.
 
-    Returns the junction-edge (q, w) per junction-adjacent road id and the
-    edge fluxes (mass, momentum) per road.  ``cells`` holds this step's
-    ``_cells`` per road.  Raises CFLViolation when ``dt`` exceeds the
-    stability bound.
+    Returns the (mass flux, momentum flux, w) of ``_junction_edges`` per
+    junction road end and the edge fluxes (mass, momentum) per road.
+    ``cells`` holds this step's ``_cells`` per road.  Raises CFLViolation
+    when ``dt`` exceeds the stability bound.
     """
     for rid, road in network.roads.items():
         if dt > road.dx / cells[rid].speed * (1.0 + 1e-12):
@@ -259,11 +269,10 @@ def step(network: Network, dt: float, cells: dict[str, _Cells]):
         fm = np.minimum(de, su, out=de)
         edge[rid] = (fm, c.w * fm)
 
-    junction_fluxes: dict[str, tuple[float, float]] = {}
-    for (rid, idx), (q, mom, wv) in _junction_edges(network).items():
+    junction_edges = _junction_edges(network)
+    for (rid, idx), (q, mom, _) in junction_edges.items():
         fm, fy = edge[rid]
         fm[idx], fy[idx] = q, mom
-        junction_fluxes[rid] = (q, wv)
 
     for rid, road in network.roads.items():
         fm, fy = edge[rid]
@@ -272,7 +281,7 @@ def step(network: Network, dt: float, cells: dict[str, _Cells]):
         road.y -= lam * (fy[1:] - fy[:-1])
         np.maximum(road.rho, 0.0, out=road.rho)
         np.maximum(road.y, 0.0, out=road.y)
-    return junction_fluxes, edge
+    return junction_edges, edge
 
 
 def run(network: Network, cfg: SimConfig) -> SimResult:
@@ -282,24 +291,11 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
         initial_momentum=math.fsum(r.total_momentum() for r in network.roads.values()),
     )
     times = [0.0]
-    series: dict[str, list[tuple[float, float]]] = {}
-    junction_road_ids = list(dict.fromkeys(
-        rid for nj in network.junctions for rid in (*nj.in_ids, *nj.out_ids)
-    ))
-    for rid in junction_road_ids:
-        series[rid] = []
-
-    def record(jf):
-        for rid in junction_road_ids:
-            series[rid].append(jf[rid])
-
-    # initial snapshot: junction fluxes on the initial data
-    record({rid: (q, wv) for (rid, _), (q, _, wv) in _junction_edges(network).items()})
+    snapshots = [_junction_edges(network)]  # the junction fluxes at `times`: initial data first
 
     t = 0.0
     steps = 0
     steady_count = 0
-    steady = False
     prev = None
     while t < cfg.t_end * (1.0 - 1e-12) and steps < MAX_STEPS:
         cells = {rid: _cells(road) for rid, road in network.roads.items()}
@@ -320,20 +316,19 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
         steps += 1
         if steps % cfg.output_stride == 0:
             times.append(t)
-            record(jf)
-        if junction_road_ids:
-            cur = np.array([jf[rid][0] for rid in junction_road_ids])
+            snapshots.append(jf)
+        if jf:
+            cur = np.array([q for q, _, _ in jf.values()])
             if prev is not None:
                 change = float(np.max(np.abs(cur - prev))) / max(1.0, float(np.max(np.abs(cur))))
                 steady_count = steady_count + 1 if change < cfg.steady_tol else 0
             prev = cur
             if steady_count >= STEADY_WINDOW:
-                steady = True
                 break
 
     if times[-1] != t:  # only after a step: t stays 0.0 until one is taken
         times.append(t)
-        record(jf)
+        snapshots.append(jf)
 
     ledger.final_mass = math.fsum(r.total_mass() for r in network.roads.values())
     ledger.final_momentum = math.fsum(r.total_momentum() for r in network.roads.values())
@@ -342,12 +337,12 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
     for rid, road in network.roads.items():
         final_rho[rid] = road.rho.copy()
         final_v[rid] = _cells(road).v[:-1]
-    steady_fluxes = {rid: series[rid][-1][0] for rid in junction_road_ids}
     return SimResult(
         times=np.array(times),
-        flux_series={rid: np.array(vals) for rid, vals in series.items()},
+        flux_series={end: np.array([(s[end][0], s[end][2]) for s in snapshots])
+                     for end in snapshots[0]},
         final_rho=final_rho, final_v=final_v, ledger=ledger,
-        steps=steps, steady=steady, steady_fluxes=steady_fluxes,
+        steps=steps, steady=steady_count >= STEADY_WINDOW,
     )
 
 
@@ -362,9 +357,9 @@ def write_flux_csv(result: SimResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "branch_id", "q", "w"])
-        for rid, arr in result.flux_series.items():
+        for label, arr in zip(end_labels(result.flux_series), result.flux_series.values()):
             q, w = arr.T.tolist()
-            writer.writerows(zip(times, itertools.repeat(rid), map(repr, q), map(repr, w)))
+            writer.writerows(zip(times, itertools.repeat(label), map(repr, q), map(repr, w)))
 
 
 def write_profile_csv(result: SimResult, path) -> None:

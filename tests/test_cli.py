@@ -48,6 +48,14 @@ MIRRORED_MERGE_DOC = {
 }
 
 
+# w1 > w2 (road 1 is faster) and a binding supply: the solver mirrors this merge and
+# returns its priority split, case E1'
+MIRRORED_E1_DOC = json.loads(json.dumps(MERGE_DOC))
+MIRRORED_E1_DOC["roads"][0]["v_ref"] = 110.0
+MIRRORED_E1_DOC["roads"][2]["rho0"] = 70.0
+MIRRORED_E1_DOC["junctions"][0]["priority"] = 0.3
+
+
 def marker_rows(path):
     """The marker rows of a ``feasible.csv``, by label."""
     lines = path.read_text().splitlines()
@@ -180,6 +188,20 @@ class TestCliCommands:
                          "--grid", "100"]) == 0
         markers = marker_rows(out / "feasible.csv")
         assert markers["stationary"] == pytest.approx(markers["solver"], rel=1e-12)
+
+    @pytest.mark.parametrize("doc, case", [(MERGE_DOC, "E1"), (MIRRORED_E1_DOC, "E1'")],
+                             ids=["E1", "E1_prime"])
+    def test_pareto_dump_priority_split_is_the_solvers_first_step(self, doc, case, tmp_path,
+                                                                  capsys):
+        path = tmp_path / "merge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--scenario", str(path)]) == 0
+        assert f"case: {case}\n" in capsys.readouterr().out
+        out = tmp_path / "pareto"
+        assert cli.main(["pareto-dump", "--scenario", str(path), "--out", str(out),
+                         "--grid", "100"]) == 0
+        markers = marker_rows(out / "feasible.csv")
+        assert markers["priority_split"] == markers["solver"]
 
     @pytest.mark.parametrize("sweep, message", [
         ("0,99999", "flux 99999.0 is not within the equilibrium capacity 4500.0"),

@@ -104,6 +104,14 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="rho and y must be non-negative"):
             sim.DiscretizedRoad("r", ROAD_IN, 1.0, 20, arrays["rho"], arrays["y"])
 
+    @pytest.mark.parametrize("field", ["rho", "y"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_cell_rejected_at_construction(self, field, bad):
+        arrays = {"rho": np.full(20, 40.0), "y": np.full(20, 3000.0)}
+        arrays[field][5] = bad
+        with pytest.raises(ValueError, match="rho and y must be non-negative and finite"):
+            sim.DiscretizedRoad("r", ROAD_IN, 1.0, 20, arrays["rho"], arrays["y"])
+
     def test_nan_state_fails_the_run(self):
         s = fd.equilibrium_state(ROAD_IN, 40.0)
         net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 1.0, 20, s)})
@@ -147,16 +155,16 @@ class TestMergeNetwork:
         s2 = fd.equilibrium_state(ROAD_IN, fd.equilibrium_density(ROAD_IN, 2000.0))
         s3 = fd.equilibrium_state(ROAD_OUT, 10.0)
         sol = jc.solve_merge((ROAD_IN, s1), (ROAD_IN, s2), (ROAD_OUT, s3), 0.5)
-        assert res.steady_fluxes["r1"] == pytest.approx(sol.q_in[0], rel=1e-3)
-        assert res.steady_fluxes["r2"] == pytest.approx(sol.q_in[1], rel=1e-3)
-        assert res.steady_fluxes["r3"] == pytest.approx(sol.q_out[0], rel=1e-3)
+        assert res.steady_fluxes["r1", -1] == pytest.approx(sol.q_in[0], rel=1e-3)
+        assert res.steady_fluxes["r2", -1] == pytest.approx(sol.q_in[1], rel=1e-3)
+        assert res.steady_fluxes["r3", 0] == pytest.approx(sol.q_out[0], rel=1e-3)
 
     def test_outgoing_flux_is_exact_sum(self):
         net = ramp_network(2000.0)
         sim.run(net, sim.SimConfig(t_end=0.02))
         cells = cells_of(net)
         jf, _ = sim.step(net, sim.stable_dt(net, 0.5, cells), cells)
-        assert jf["r3"][0] == jf["r1"][0] + jf["r2"][0]
+        assert jf["r3", 0][0] == jf["r1", -1][0] + jf["r2", -1][0]
 
     def test_network_mass_ledger(self):
         net = ramp_network(2500.0)
@@ -168,8 +176,9 @@ class TestMergeNetwork:
     def test_flux_series_shapes(self):
         net = ramp_network(1500.0)
         res = sim.run(net, sim.SimConfig(t_end=0.02))
-        for rid in ("r1", "r2", "r3"):
-            assert res.flux_series[rid].shape == (len(res.times), 2)
+        assert list(res.flux_series) == [("r1", -1), ("r2", -1), ("r3", 0)]
+        for arr in res.flux_series.values():
+            assert arr.shape == (len(res.times), 2)
 
 
 class TestNetworkValidation:
