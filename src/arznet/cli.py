@@ -83,20 +83,28 @@ def cmd_capacity_drop(args) -> int:
     s1 = road1.initial_state
     desired1 = s1.rho * s1.v
 
-    rows = []
-    for q2_desired, rho0 in zip(sweep, rho2):
+    scenarios = []
+    for rho0 in rho2:
         road2_k = dataclasses.replace(road2, rho0=rho0)
-        sc_k = dataclasses.replace(sc, roads={**sc.roads, road2.road_id: road2_k})
-        if args.direct:
+        scenarios.append(dataclasses.replace(sc, roads={**sc.roads, road2.road_id: road2_k}))
+    if args.direct:
+        fluxes = []
+        for sc_k in scenarios:
             fl = jn.junction_fluxes(nj.spec, scenario.junction_states(sc_k, nj))
-            q1, q2 = fl.q_in
-            outflow = fl.q_out[0]
-        else:
-            network = scenario.build_network(sc_k)
-            result = sim.run(network, sc_k.sim)
-            q = result.steady_fluxes
-            q1, q2 = q[nj.in_ids[0], -1], q[nj.in_ids[1], -1]
-            outflow = q[nj.out_ids[0], 0]
+            fluxes.append((*fl.q_in, fl.q_out[0]))
+    else:
+        # the sweep points as one batch: member k is sweep point k
+        networks = [scenario.build_network(sc_k) for sc_k in scenarios]
+        try:
+            results = sim.run_batch(networks, sc.sim)
+        except sim.MEMBER_FAILURES as exc:
+            exc.args = (f"{exc}, sweep value {sweep[exc.member]!r}",)
+            raise
+        fluxes = [(q[nj.in_ids[0], -1], q[nj.in_ids[1], -1], q[nj.out_ids[0], 0])
+                  for q in (res.steady_fluxes for res in results)]
+
+    rows = []
+    for q2_desired, (q1, q2, outflow) in zip(sweep, fluxes):
         total = q1 + q2
         r1 = q1 / total if total > 0 else float("nan")
         rows.append((desired1, q1, q2_desired, q2, outflow, r1, 1.0 - r1))
@@ -129,16 +137,13 @@ def cmd_pareto_dump(args) -> int:
     sample = oracle.sample_pareto(ctx, n=n)
 
     fl = jn.junction_fluxes(spec, states)
-    geom = jn.merge_geometry(in1, in2, out3)
     markers = [
         ("solver", fl.q_in[0], fl.q_in[1]),
         ("priority_split", *jn.priority_split(in1, in2, out3, spec.priority)),
     ]
-    # the solver mirrors a merge with w1 > w2; its stationary ratio of q1 is then P**
-    p_stat = geom.p_star2 if geom.dw > 0 else geom.p_star
-    if p_stat is not None and 0.0 <= p_stat <= 1.0:
-        s_star = jn.sigma_tilde(geom, p_stat)
-        markers.append(("stationary", p_stat * s_star, (1.0 - p_stat) * s_star))
+    stationary = jn.stationary_split(in1, in2, out3)
+    if stationary is not None:
+        markers.append(("stationary", *stationary))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SolverFailure as exc:
+    except (SolverFailure, sim.CFLViolation) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ScenarioError, OSError, ValueError, MemoryError) as exc:

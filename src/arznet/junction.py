@@ -475,6 +475,19 @@ def priority_split(in1: Branch, in2: Branch, out: Branch, priority: float) -> tu
     return (q2, q1) if mirrored else (q1, q2)
 
 
+def stationary_split(in1: Branch, in2: Branch, out: Branch) -> tuple[float, float] | None:
+    """The fluxes (q1, q2) = (P*, 1 - P*) Sigma~(P*) of the merge solver's stationary split,
+    mirrored as the solver mirrors the merge; None where P* is undefined or outside [0, 1]."""
+    # the geometry alone: P* and Sigma~ depend on neither the demands nor the priority
+    mirrored, (geom, *_) = _oriented(fd.attribute(*in1), fd.attribute(*in2), 0.0, 0.0, out, 0.5)
+    p = geom.p_star
+    if p is None or not 0.0 <= p <= 1.0:
+        return None
+    s = _sigma_tilde_unchecked(geom, p)
+    q1, q2 = p * s, (1.0 - p) * s
+    return (q2, q1) if mirrored else (q1, q2)
+
+
 def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their sonic points."""
     w1, delta1, sigma1 = _demand_of(*in1)

@@ -187,7 +187,7 @@ class TestCliCommands:
         assert cli.main(["pareto-dump", "--scenario", str(path), "--out", str(out),
                          "--grid", "100"]) == 0
         markers = marker_rows(out / "feasible.csv")
-        assert markers["stationary"] == pytest.approx(markers["solver"], rel=1e-12)
+        assert markers["stationary"] == markers["solver"]
 
     @pytest.mark.parametrize("doc, case", [(MERGE_DOC, "E1"), (MIRRORED_E1_DOC, "E1'")],
                              ids=["E1", "E1_prime"])
@@ -210,9 +210,9 @@ class TestCliCommands:
     ], ids=["above-capacity", "nan", "negative"])
     def test_capacity_drop_rejects_sweep_before_any_run(self, merge_file, monkeypatch, capsys,
                                                         sweep, message):
-        def no_run(network, cfg):
+        def no_run(networks, cfg):
             raise AssertionError("capacity-drop ran a simulation")
-        monkeypatch.setattr(sim, "run", no_run)
+        monkeypatch.setattr(sim, "run_batch", no_run)
         assert cli.main(["capacity-drop", "--scenario", str(merge_file), f"--sweep={sweep}"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

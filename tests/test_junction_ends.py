@@ -95,3 +95,11 @@ def test_junction_order_does_not_change_the_run(case):
             mom_in = math.fsum(a[row, 0] * a[row, 1] for a in q_in)
             mom_out = math.fsum(a[row, 0] * a[row, 1] for a in q_out)
             assert mom_out == pytest.approx(mom_in, rel=1e-12, abs=1e-9)
+
+
+def test_end_labels_reject_a_collision():
+    """A road named b[0] would share its label with the left end of a road b that has
+    a junction at each end, and fluxes.csv would mix the two series."""
+    assert sim.end_labels([("b", 0), ("b", -1), ("c", 0)]) == ["b[0]", "b[-1]", "c"]
+    with pytest.raises(ValueError, match="share a label"):
+        sim.end_labels([("b", 0), ("b", -1), ("b[0]", 0)])

@@ -101,6 +101,19 @@ class TestEdgeValues:
         assert "2**-54" in capsys.readouterr().err
 
 
+def test_road_id_that_is_another_roads_end_label_rejected():
+    """Road b has a junction at each end, so its ends are labelled b[0] and b[-1]."""
+    road = {"rho_max": 180.0, "v_ref": 100.0, "gamma": 1.2, "rho0": 30.0}
+    doc = {"roads": [{"id": rid, **road} for rid in ("a", "b", "c", "b[-1]")],
+           "junctions": [{"kind": "one_to_one", "in": ["a"], "out": ["b"]},
+                         {"kind": "one_to_one", "in": ["b"], "out": ["c"]}]}
+    with pytest.raises(scenario.ScenarioError,
+                       match=re.escape("roads[3].id: 'b[-1]' is an end label of road 'b'")):
+        scenario.parse(doc)
+    doc["junctions"].pop()  # one junction end: road b keeps its id as its label
+    assert list(scenario.parse(doc).roads) == ["a", "b", "c", "b[-1]"]
+
+
 class TestUnknownKeys:
     """A key that its object does not know is named, not silently ignored."""
 

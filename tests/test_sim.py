@@ -27,9 +27,9 @@ def ramp_network(q2_desired, cells=100):
     return sim.Network(roads, [sim.NetworkJunction(spec, ("r1", "r2"), ("r3",))])
 
 
-def cells_of(net):
-    """Each road's cell quantities for one step, as ``sim.run`` passes them to ``step``."""
-    return {rid: sim._cells(road) for rid, road in net.roads.items()}
+def cells_of(batch):
+    """Each road's cell quantities for one step, as ``sim.run_batch`` passes them to ``step``."""
+    return {rid: sim._cells(rows) for rid, rows in batch.roads.items()}
 
 
 class TestSingleRoad:
@@ -63,10 +63,10 @@ class TestSingleRoad:
 
     def test_cfl_violation_raised(self):
         s = fd.equilibrium_state(ROAD_IN, 40.0)
-        net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})
-        cells = cells_of(net)
+        batch = sim.batch_of([sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})])
+        cells = cells_of(batch)
         with pytest.raises(sim.CFLViolation):
-            sim.step(net, 10.0 * sim.stable_dt(net, 1.0, cells), cells)
+            sim.step(batch, 10.0 * sim.stable_dt(batch, 1.0, cells), cells)
 
 
 class TestContactArtifact:
@@ -162,8 +162,9 @@ class TestMergeNetwork:
     def test_outgoing_flux_is_exact_sum(self):
         net = ramp_network(2000.0)
         sim.run(net, sim.SimConfig(t_end=0.02))
-        cells = cells_of(net)
-        jf, _ = sim.step(net, sim.stable_dt(net, 0.5, cells), cells)
+        batch = sim.batch_of([net])
+        cells = cells_of(batch)
+        (jf,), _ = sim.step(batch, sim.stable_dt(batch, 0.5, cells), cells)
         assert jf["r3", 0][0] == jf["r1", -1][0] + jf["r2", -1][0]
 
     def test_network_mass_ledger(self):
