@@ -97,7 +97,7 @@ def cmd_capacity_drop(args) -> int:
         networks = [scenario.build_network(sc_k) for sc_k in scenarios]
         try:
             results = sim.run_batch(networks, sc.sim)
-        except sim.MEMBER_FAILURES as exc:
+        except SolverFailure as exc:
             exc.args = (f"{exc}, sweep value {sweep[exc.member]!r}",)
             raise
         fluxes = [(q[nj.in_ids[0], -1], q[nj.in_ids[1], -1], q[nj.out_ids[0], 0])
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SolverFailure, sim.CFLViolation) as exc:
+    except SolverFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ScenarioError, OSError, ValueError, MemoryError) as exc:

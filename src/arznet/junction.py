@@ -33,7 +33,7 @@ from .rootfind import SolverFailure, bisect, newton, regula_falsi  # noqa: F401
 Branch = tuple[RoadParams, TrafficState]
 
 
-class InfeasibleFlux(ValueError):
+class InfeasibleFlux(SolverFailure):
     """Requested boundary flux exceeds the capacity along the attribute curve."""
 
 
@@ -598,8 +598,6 @@ def check_admissibility(
         speeds = _first_family_speeds(p, w, sol.boundary_out[j].rho, rho_t)
         if speeds is not None and speeds[0] < -tol:
             report.violations.append((f"out{j}", "first-family", speeds[0]))
-        if s0.v < -tol:
-            report.violations.append((f"out{j}", "contact", s0.v))
     return report
 
 

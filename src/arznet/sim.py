@@ -29,12 +29,8 @@ from .fundamental import RoadParams, TrafficState
 from .rootfind import SolverFailure
 
 
-class CFLViolation(RuntimeError):
+class CFLViolation(SolverFailure):
     """Requested time step exceeds the stability bound."""
-
-
-# a member's failures in the time loop, which name the member, the step and t
-MEMBER_FAILURES = (SolverFailure, CFLViolation, jn.InfeasibleFlux)
 
 
 @dataclass
@@ -356,7 +352,7 @@ def step(batch: Batch, dt: np.ndarray, cells: dict[str, _Cells]):
     for row in range(len(dt)):
         try:
             jf = _junction_edges(batch, row)
-        except MEMBER_FAILURES as exc:
+        except SolverFailure as exc:
             raise _in_row(exc, row)
         for (rid, idx), (q, mom, _) in jf.items():
             fm, fy = edge[rid]
@@ -406,7 +402,7 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     for row in members:
         try:
             snapshots.append([_junction_edges(batch, row)])
-        except MEMBER_FAILURES as exc:
+        except SolverFailure as exc:
             raise _at(exc, row, 0, 0.0)
     results = [None] * len(networks)
 
@@ -434,20 +430,18 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
             keep = ~done
             batch, members, t, steady = batch.take(keep), members[keep], t[keep], steady[keep]
             flows = flows[:, keep]
-            jfs = [jfs[row] for row in np.flatnonzero(keep)]
             prev = None if prev is None else prev[keep]
 
         cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
-        for rid, c in cells.items():
-            bad = ~np.isfinite(c.speed)
-            if bad.any():
-                row = int(np.argmax(bad))
-                raise _at(SolverFailure(f"non-finite state on road {rid}"), members[row], steps,
-                          t[row])
-        dt = np.minimum(stable_dt(batch, cfg.cfl, cells), cfg.t_end - t)
         try:
+            for rid, c in cells.items():
+                bad = ~np.isfinite(c.speed)
+                if bad.any():
+                    raise _in_row(SolverFailure(f"non-finite state on road {rid}"),
+                                  int(np.argmax(bad)))
+            dt = np.minimum(stable_dt(batch, cfg.cfl, cells), cfg.t_end - t)
             jfs, edge = step(batch, dt, cells)
-        except MEMBER_FAILURES as exc:
+        except SolverFailure as exc:
             raise _at(exc, members[exc.row], steps, t[exc.row])
         for rid, idx in batch.external_ends:
             fm, fy = edge[rid]

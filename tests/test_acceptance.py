@@ -16,11 +16,9 @@ from arznet import cli
 from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import oracle, sim
-from arznet.fundamental import RoadParams, TrafficState
+from arznet.fundamental import TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
-
-ROAD_IN = RoadParams(rho_max=180.0, v_ref=100.0, gamma=1.2)
-ROAD_OUT = RoadParams(rho_max=90.0, v_ref=100.0, gamma=1.7)
+from shared import ROAD_IN, ROAD_OUT, ramp_branches, ramp_doc, ramp_network, rand_params, rand_state
 
 # Frozen steady merge fluxes for the on-ramp reference scenario (road 1 held at
 # density 30, road 3 at density 10, priority 0.5): desired road-2 inflow vs the
@@ -42,21 +40,6 @@ def report(num, label, ok, detail=""):
     if detail:
         line += f"  [{detail}]"
     print("\n" + line)
-
-
-def ramp_branches(q2_desired):
-    s1 = fd.equilibrium_state(ROAD_IN, 30.0)
-    s2 = fd.equilibrium_state(ROAD_IN, fd.equilibrium_density(ROAD_IN, q2_desired))
-    s3 = fd.equilibrium_state(ROAD_OUT, 10.0)
-    return (ROAD_IN, s1), (ROAD_IN, s2), (ROAD_OUT, s3)
-
-
-def rand_params(rng):
-    return RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
-
-
-def rand_state(rng, p):
-    return TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
 
 
 def rand_merge(rng):
@@ -109,21 +92,8 @@ def test_criterion_01_table_direct():
 
 
 def test_criterion_02_table_simulation(tmp_path):
-    doc = {
-        "roads": [
-            {"id": "r1", "rho_max": 180.0, "v_ref": 100.0, "gamma": 1.2,
-             "rho0": 30.0, "length": 1.0, "cells": 100},
-            {"id": "r2", "rho_max": 180.0, "v_ref": 100.0, "gamma": 1.2,
-             "rho0": 30.0, "length": 1.0, "cells": 100},
-            {"id": "r3", "rho_max": 90.0, "v_ref": 100.0, "gamma": 1.7,
-             "rho0": 10.0, "length": 1.0, "cells": 100},
-        ],
-        "junctions": [{"kind": "merge", "in": ["r1", "r2"], "out": ["r3"],
-                       "priority": 0.5}],
-        "sim": {"t_end": 0.5, "cfl": 0.5},
-    }
     path = tmp_path / "ramp.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(ramp_doc({"t_end": 0.5, "cfl": 0.5})))
     out = tmp_path / "cap"
     sweep = ",".join(str(r[0]) for r in RAMP_ROWS)
     t0 = time.perf_counter()
@@ -236,14 +206,7 @@ def test_criterion_06_conservation():
         worst_mass = max(worst_mass, abs(r_mass))
         worst_mom = max(worst_mom, abs(r_mom))
 
-    b1, b2, b3 = ramp_branches(2000.0)
-    roads = {
-        "r1": sim.road_from_state("r1", ROAD_IN, 1.0, 100, b1[1]),
-        "r2": sim.road_from_state("r2", ROAD_IN, 1.0, 100, b2[1]),
-        "r3": sim.road_from_state("r3", ROAD_OUT, 1.0, 100, b3[1]),
-    }
-    mspec = JunctionSpec(JunctionKind.MERGE, (ROAD_IN, ROAD_IN), (ROAD_OUT,), priority=0.5)
-    run_ledger(sim.Network(roads, [sim.NetworkJunction(mspec, ("r1", "r2"), ("r3",))]), 0.1)
+    run_ledger(ramp_network(2000.0), 0.1)
 
     road = sim.road_from_state("r", ROAD_IN, 2.0, 80, fd.equilibrium_state(ROAD_IN, 20.0))
     rho_hi, y_hi = fd.to_conservative(ROAD_IN, fd.equilibrium_state(ROAD_IN, 90.0))

@@ -4,7 +4,8 @@ The benchmark (``bench/``) is not part of this suite. Its workloads call
 package functions by name (``scenario.build_junction_spec``,
 ``oracle.convexity_probe``, ...) and its tracer wraps others
 (``junction.solve_merge``, ``sim.interface_flux``, ...). A refactor that
-deletes or renames one of them fails here.
+deletes or renames one of them fails here. So does a test module that
+imports another.
 """
 
 import ast
@@ -18,9 +19,10 @@ import numpy as np
 
 import arznet
 from arznet import cli, junction, oracle, scenario
-from test_cli import MERGE_DOC
+from shared import MERGE_DOC
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def test_public_names_resolve():
@@ -105,6 +107,19 @@ def _arznet_reads(path: Path) -> set[tuple[str, str]]:
                 and node.value.id in modules):
             reads.add((modules[node.value.id], node.attr))
     return reads
+
+
+def test_no_test_module_imports_another():
+    """What test modules share lives in ``shared`` and ``shared_strategies``: a test
+    module imported by another runs its module code twice and ties the two together."""
+    imports = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports += [(path.name, node.module or alias.name) for alias in node.names]
+    assert [(f, m) for f, m in imports if m.split(".")[0].startswith("test_")] == []
 
 
 def test_benchmark_reads_resolve():

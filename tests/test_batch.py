@@ -19,16 +19,10 @@ from arznet import junction as jn
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
 from arznet.rootfind import SolverFailure
-from test_cli import MERGE_DOC
-from test_sim import ROAD_IN, ramp_network
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from shared import MERGE_DOC, ROAD_IN, ramp_doc, ramp_network
+from shared_strategies import hypothesis, params, st
 
 DATA = Path(__file__).parent / "data"
-
-params = st.builds(RoadParams, rho_max=st.floats(20.0, 300.0), v_ref=st.floats(40.0, 160.0),
-                   gamma=st.floats(0.5, 4.0))
 
 
 @st.composite
@@ -122,7 +116,7 @@ def test_each_member_runs_as_alone(case):
         net = network(ps, shape, junctions, cells)
         try:
             alone.append((sim.run(net, cfg), net))
-        except sim.MEMBER_FAILURES:
+        except SolverFailure:
             hypothesis.reject()  # a junction solve failed on this member's data
     nets = [network(ps, shape, junctions, cells) for cells in members]
     results = sim.run_batch(nets, cfg)
@@ -190,14 +184,8 @@ RAMP_SWEEP = "1000.0,1400.0,1500.0,1750.0,2000.0,2500.0,3000.0,3500.0"
 def test_capacity_drop_matches_the_one_run_per_point_output(settings, fixture, tmp_path, capsys):
     """The paper's on-ramp sweep, simulated, gives the bytes that one run per sweep
     point gave (recorded before the sweep ran as one batch)."""
-    road = {"v_ref": 100.0, "length": 1.0, "cells": 100}
-    doc = {"roads": [{"id": "r1", "rho_max": 180.0, "gamma": 1.2, "rho0": 30.0, **road},
-                     {"id": "r2", "rho_max": 180.0, "gamma": 1.2, "rho0": 30.0, **road},
-                     {"id": "r3", "rho_max": 90.0, "gamma": 1.7, "rho0": 10.0, **road}],
-           "junctions": [{"kind": "merge", "in": ["r1", "r2"], "out": ["r3"], "priority": 0.5}],
-           "sim": settings}
     path = tmp_path / "ramp.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(ramp_doc(settings)))
     out = tmp_path / "cap"
     assert cli.main(["capacity-drop", "--scenario", str(path), "--sweep", RAMP_SWEEP,
                      "--out", str(out)]) == 0
@@ -236,19 +224,21 @@ class TestFailuresNameTheirMember:
         assert info.value.member == 0
 
     def test_capacity_drop_names_the_sweep_value(self, tmp_path, monkeypatch, capsys):
+        """A root-find failure and an infeasible flux are both numerical failures: exit 3."""
         path = tmp_path / "merge.json"
         path.write_text(json.dumps(MERGE_DOC))
         road2 = MERGE_DOC["roads"][1]
         rho2 = fd.equilibrium_density(RoadParams(road2["rho_max"], road2["v_ref"],
                                                  road2["gamma"]), 2000.0)
         junction_fluxes = jn.junction_fluxes
-
-        def fail_on_point_2000(spec, states):
-            if states[1].rho == rho2:  # road 2's end cell while it holds its initial state
-                raise SolverFailure("forced failure")
-            return junction_fluxes(spec, states)
-        monkeypatch.setattr(jn, "junction_fluxes", fail_on_point_2000)
-        code = cli.main(["capacity-drop", "--scenario", str(path), "--sweep", "1000,2000,3000"])
-        assert code == cli.EXIT_NUMERIC
-        assert capsys.readouterr().err == ("numerical failure: forced failure at step 0, t=0.0 "
-                                           "(member 1), sweep value 2000.0\n")
+        for failure in (SolverFailure, jn.InfeasibleFlux):
+            def fail_on_point_2000(spec, states):
+                if states[1].rho == rho2:  # road 2's end cell while it holds its initial state
+                    raise failure("forced failure")
+                return junction_fluxes(spec, states)
+            monkeypatch.setattr(jn, "junction_fluxes", fail_on_point_2000)
+            code = cli.main(["capacity-drop", "--scenario", str(path),
+                             "--sweep", "1000,2000,3000"])
+            assert code == cli.EXIT_NUMERIC, failure
+            assert capsys.readouterr().err == ("numerical failure: forced failure at step 0, "
+                                               "t=0.0 (member 1), sweep value 2000.0\n")

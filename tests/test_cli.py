@@ -4,22 +4,7 @@ import json
 import pytest
 
 from arznet import cli, scenario, sim
-
-MERGE_DOC = {
-    "roads": [
-        {"id": "r1", "rho_max": 180.0, "v_ref": 100.0, "gamma": 1.2, "rho0": 30.0,
-         "length": 1.0, "cells": 40},
-        {"id": "r2", "rho_max": 180.0, "v_ref": 100.0, "gamma": 1.2, "q_desired": 2000.0,
-         "length": 1.0, "cells": 40},
-        {"id": "r3", "rho_max": 90.0, "v_ref": 100.0, "gamma": 1.7, "rho0": 10.0,
-         "length": 1.0, "cells": 40},
-    ],
-    "junctions": [
-        {"kind": "merge", "in": ["r1", "r2"], "out": ["r3"], "priority": 0.5},
-    ],
-    "sim": {"t_end": 0.05, "cfl": 0.5},
-}
-
+from shared import MERGE_DOC
 
 # a road on which rho_max^2 - 4 rho_max q / v_ref rounds below 0 at its capacity q
 CAP_ROAD = {"rho_max": 31.473, "v_ref": 41.983, "gamma": 1.2}
@@ -207,7 +192,8 @@ class TestCliCommands:
         ("0,99999", "flux 99999.0 is not within the equilibrium capacity 4500.0"),
         ("0,nan", "flux nan is not within the equilibrium capacity 4500.0"),
         ("0,-1", "flux must be non-negative, got -1.0"),
-    ], ids=["above-capacity", "nan", "negative"])
+        (",", "empty sweep"),
+    ], ids=["above-capacity", "nan", "negative", "empty"])
     def test_capacity_drop_rejects_sweep_before_any_run(self, merge_file, monkeypatch, capsys,
                                                         sweep, message):
         def no_run(networks, cfg):
@@ -231,6 +217,22 @@ class TestCliCommands:
 
     def test_missing_scenario_is_exit_two(self, tmp_path, capsys):
         assert cli.main(["solve", "--scenario", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command, junctions, message", [
+        ("solve", [*MERGE_DOC["junctions"], {"kind": "one_to_one", "in": ["r3"], "out": ["r1"]}],
+         "expected exactly one junction, found 2"),
+        ("pareto-dump", [{"kind": "one_to_one", "in": ["r1"], "out": ["r2"]}],
+         "pareto-dump requires a merge scenario"),
+    ], ids=["solve", "pareto-dump"])
+    def test_command_rejects_its_wrong_junctions(self, tmp_path, capsys, command, junctions,
+                                                 message):
+        """``solve`` takes one junction, ``pareto-dump`` one merge."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(MERGE_DOC, junctions=junctions)))
+        out = ["--out", str(tmp_path / "pareto")] if command == "pareto-dump" else []
+        assert cli.main([command, "--scenario", str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
     def test_capacity_drop_rejects_non_merge(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MERGE_DOC))

@@ -20,9 +20,7 @@ import pytest
 from arznet import junction as jc
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from shared_strategies import gammas, hypothesis, priorities, st
 
 # _sigma3 evaluations per call, the two ends included, in the ranges of criterion 10
 MAX_EVALS = 15
@@ -107,13 +105,6 @@ def merge(roads, states, priority):
     fl = jc.junction_fluxes(spec, states)
     assert jc.solve(spec, states).q_in == fl.q_in
     return fl
-
-
-gammas = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.5, 4.0))
-# near 0 and 1 the priority split pins one road almost entirely
-priorities = st.one_of(
-    st.floats(1e-6, 0.05), st.floats(0.05, 0.95), st.floats(0.95, 1.0 - 1e-6),
-)
 
 
 @st.composite

@@ -7,13 +7,9 @@ import pytest
 
 from arznet import fundamental as fd
 from arznet.fundamental import RoadParams, TrafficState
+from shared import ROAD_IN, rand_params
 
 TOY = RoadParams(rho_max=1.0, v_ref=2.0, gamma=2.0)
-ROAD1 = RoadParams(rho_max=180.0, v_ref=100.0, gamma=1.2)
-
-
-def rand_params(rng):
-    return RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
 
 
 class TestPressure:
@@ -22,8 +18,8 @@ class TestPressure:
 
     def test_closed_form(self):
         assert fd.pressure(TOY, 1.0) == pytest.approx((2.0 / 2.0) * 1.0**2)
-        assert fd.pressure(ROAD1, 30.0) == pytest.approx((100.0 / 1.2) * (30.0 / 180.0) ** 1.2)
-        assert fd.pressure(ROAD1, 30.0) == pytest.approx(9.71, abs=5e-3)
+        assert fd.pressure(ROAD_IN, 30.0) == pytest.approx((100.0 / 1.2) * (30.0 / 180.0) ** 1.2)
+        assert fd.pressure(ROAD_IN, 30.0) == pytest.approx(9.71, abs=5e-3)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -91,9 +87,9 @@ class TestDemandSupply:
         assert fd.demand(TOY, 1.0, 3.0) == pytest.approx(2.0)
 
     def test_demand_free_flow_equals_equilibrium_flux(self):
-        s = fd.equilibrium_state(ROAD1, 30.0)
-        w = fd.attribute(ROAD1, s)
-        assert fd.demand(ROAD1, 30.0, w) == pytest.approx(2500.0, rel=1e-12)
+        s = fd.equilibrium_state(ROAD_IN, 30.0)
+        w = fd.attribute(ROAD_IN, s)
+        assert fd.demand(ROAD_IN, 30.0, w) == pytest.approx(2500.0, rel=1e-12)
 
     def test_supply_empty_road_is_capacity(self):
         assert fd.supply(TOY, 0.0, 3.0) == pytest.approx(float(fd.capacity(TOY, 3.0)))
@@ -129,14 +125,14 @@ class TestDemandSupply:
     def test_array_demand_peak_memory_at_most_supply(self):
         """The array demand frees p(rho) and the capacity early: its peak is no higher than the supply's."""
         rng = np.random.default_rng(17)
-        rho = rng.uniform(0.0, ROAD1.rho_max, 100_000)
-        c = rng.uniform(1.0, 2 * ROAD1.v_ref, 100_000)
+        rho = rng.uniform(0.0, ROAD_IN.rho_max, 100_000)
+        c = rng.uniform(1.0, 2 * ROAD_IN.v_ref, 100_000)
         peak = {}
         for func in (fd.demand, fd.supply):
-            func(ROAD1, rho, c)  # first calls allocate once-only state
+            func(ROAD_IN, rho, c)  # first calls allocate once-only state
             tracemalloc.start()
             try:
-                func(ROAD1, rho, c)
+                func(ROAD_IN, rho, c)
                 peak[func] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -178,6 +174,8 @@ class TestStateConversions:
             RoadParams(0.0, 100.0, 1.0)
         with pytest.raises(ValueError):
             TrafficState(-1.0, 5.0)
+        with pytest.raises(ValueError):
+            TrafficState(5.0, -1e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
@@ -212,19 +210,19 @@ class TestStateConversions:
 
 class TestEquilibrium:
     def test_density_inverts_flux(self):
-        rho = fd.equilibrium_density(ROAD1, 2500.0)
+        rho = fd.equilibrium_density(ROAD_IN, 2500.0)
         assert rho == pytest.approx(30.0, rel=1e-12)
-        s = fd.equilibrium_state(ROAD1, rho)
+        s = fd.equilibrium_state(ROAD_IN, rho)
         assert s.rho * s.v == pytest.approx(2500.0, rel=1e-12)
 
     def test_over_capacity_rejected(self):
         with pytest.raises(ValueError):
-            fd.equilibrium_density(ROAD1, 1e6)
+            fd.equilibrium_density(ROAD_IN, 1e6)
 
     @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
     def test_non_finite_flux_rejected(self, q):
         with pytest.raises(ValueError):
-            fd.equilibrium_density(ROAD1, q)
+            fd.equilibrium_density(ROAD_IN, q)
 
     def test_capacity_is_half_the_jam_density(self):
         # rho_max^2 - 4 rho_max q / v_ref rounds to -1.1e-13 on this road at q = v_ref rho_max / 4

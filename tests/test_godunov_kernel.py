@@ -13,9 +13,8 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import sim
 from arznet.fundamental import RoadParams, TrafficState
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from shared import cells_of
+from shared_strategies import hypothesis, st
 
 RTOL = 1e-12
 # absolute slack, relative to the road's flux scale rho_max * v_ref, for fluxes near 0
@@ -68,7 +67,7 @@ def test_vector_edges_match_scalar_flux(case):
                             ghost_left=g_left, ghost_right=g_right)
     states = [fd.from_conservative(p, float(a), float(b)) for a, b in zip(r.rho, r.y)]
     batch = sim.batch_of([sim.Network({"r": r})])
-    _, edge = sim.step(batch, np.zeros(1), {"r": sim._cells(batch.roads["r"])})
+    _, edge = sim.step(batch, np.zeros(1), cells_of(batch))
     fm, fy = (f[0] for f in edge["r"])  # the one member's row
     atol = ATOL * p.rho_max * p.v_ref
     for i, (left, right) in enumerate(zip([g_left, *states], [*states, g_right])):

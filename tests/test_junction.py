@@ -8,14 +8,7 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
-
-
-def rand_params(rng):
-    return RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
-
-
-def rand_state(rng, p):
-    return TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
+from shared import ROAD_IN, rand_params, rand_state
 
 
 def one_to_one(p1, s1, p2, s2):
@@ -142,6 +135,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JunctionSpec(JunctionKind.DIVERGE, (p,), (p, p), alphas=(0.6, 0.6))
 
+    @pytest.mark.parametrize("kind, n_in, n_out, fields, message", [
+        (JunctionKind.ONE_TO_ONE, 2, 1, {}, "1-to-1 junction takes one incoming"),
+        (JunctionKind.DIVERGE, 2, 2, {"alphas": (0.5, 0.5)}, "diverge takes one incoming"),
+        (JunctionKind.DIVERGE, 1, 1, {"alphas": (0.5,)}, "single-outgoing diverge must have"),
+        (JunctionKind.MERGE, 1, 1, {"priority": 0.5}, "merge takes two incoming"),
+    ], ids=["one_to_one", "diverge", "single_outgoing_diverge", "merge"])
+    def test_branch_counts_rejected(self, kind, n_in, n_out, fields, message):
+        p = RoadParams(1.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match=message):
+            JunctionSpec(kind, (p,) * n_in, (p,) * n_out, **fields)
+
+    def test_state_count_and_trace_side_rejected(self):
+        p = RoadParams(1.0, 2.0, 2.0)
+        s = TrafficState(0.5, 1.0)
+        spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,))
+        for run in (jc.junction_fluxes, jc.solve):
+            with pytest.raises(ValueError, match="expected 2 states, got 3"):
+                run(spec, [s, s, s])
+        with pytest.raises(ValueError, match="side must be 'incoming' or 'outgoing'"):
+            jc.reconstruct_boundary_state(p, 1.5, 0.1, "left", s, False, fd.sonic_point(p, 1.5))
+
     @pytest.mark.parametrize("kind, n_in, n_out, field", [
         (JunctionKind.MERGE, 2, 1, "alphas"), (JunctionKind.DIVERGE, 1, 2, "priority")])
     def test_field_of_the_other_kind_rejected(self, kind, n_in, n_out, field):
@@ -216,3 +230,19 @@ class TestAdmissibility:
         corrupted = dataclasses.replace(sol, boundary_in=(TrafficState(rho_bad, v_bad),))
         rep = jc.check_admissibility(spec, [s, s], corrupted)
         assert not rep.ok
+
+    def test_detects_bad_outgoing_boundary_state(self):
+        """An outgoing trace denser than the modified density rho_t: a rarefaction from
+        it to rho_t has a left edge that moves into the junction."""
+        p = ROAD_IN
+        s_in, s_out = fd.equilibrium_state(p, 30.0), fd.equilibrium_state(p, 120.0)
+        spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,))
+        sol = jc.solve(spec, [s_in, s_out])
+        assert jc.check_admissibility(spec, [s_in, s_out], sol).ok
+        w = sol.w_out[0]
+        rho_bad = 1.2 * jc.modified_density(p, w, s_out.v)
+        bad = TrafficState(rho_bad, w - float(fd.pressure(p, rho_bad)))
+        corrupted = dataclasses.replace(sol, boundary_out=(bad,))
+        rep = jc.check_admissibility(spec, [s_in, s_out], corrupted)
+        [(branch, family, speed)] = rep.violations
+        assert (branch, family) == ("out0", "first-family") and speed < 0.0

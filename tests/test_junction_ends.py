@@ -16,9 +16,7 @@ from arznet import fundamental as fd
 from arznet import sim
 from arznet.fundamental import RoadParams
 from arznet.junction import JunctionKind, JunctionSpec
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from shared_strategies import hypothesis, st
 
 CFG = sim.SimConfig(t_end=0.003, output_stride=3, steady_tol=0.0)
 

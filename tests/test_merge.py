@@ -5,9 +5,7 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import oracle
 from arznet.fundamental import RoadParams, TrafficState
-
-ROAD_IN = RoadParams(rho_max=180.0, v_ref=100.0, gamma=1.2)
-ROAD_OUT = RoadParams(rho_max=90.0, v_ref=100.0, gamma=1.7)
+from shared import ramp_branches, rand_params, rand_state
 
 # Steady merge fluxes for the reference on-ramp scenario: road 1 at density 30,
 # road 3 at density 10, equal priority, road-2 inflow swept over its demand.
@@ -21,22 +19,6 @@ RAMP_TABLE = [
     (3000.0, 1903.9, 1903.9, 3807.7),
     (3500.0, 1881.9, 1881.9, 3763.8),
 ]
-
-
-def ramp_branches(q2_desired):
-    s1 = fd.equilibrium_state(ROAD_IN, 30.0)
-    rho2 = fd.equilibrium_density(ROAD_IN, q2_desired)
-    s2 = fd.equilibrium_state(ROAD_IN, rho2)
-    s3 = fd.equilibrium_state(ROAD_OUT, 10.0)
-    return (ROAD_IN, s1), (ROAD_IN, s2), (ROAD_OUT, s3)
-
-
-def rand_params(rng):
-    return RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
-
-
-def rand_state(rng, p):
-    return TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
 
 
 def rand_merge(rng):

@@ -6,15 +6,8 @@ import pytest
 from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import oracle
-from arznet.fundamental import RoadParams, TrafficState
-
-
-def rand_params(rng):
-    return RoadParams(rng.uniform(20, 300), rng.uniform(40, 160), rng.uniform(0.5, 4.0))
-
-
-def rand_state(rng, p):
-    return TrafficState(rng.uniform(1e-3, 0.98 * p.rho_max), rng.uniform(0.5, p.v_ref))
+from arznet.fundamental import TrafficState
+from shared import rand_params, rand_state
 
 
 def rand_context(rng):

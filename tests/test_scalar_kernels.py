@@ -19,18 +19,7 @@ from arznet import junction as jc
 from arznet import oracle
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionFluxes
-from test_junction_fluxes import instance
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
-gammas = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.5, 4.0))
-params = st.builds(
-    RoadParams,
-    rho_max=st.floats(20.0, 300.0),
-    v_ref=st.floats(40.0, 160.0),
-    gamma=gammas,
-)
+from shared_strategies import gamma_params, hypothesis, instance, st
 
 
 def densities(p: RoadParams):
@@ -62,7 +51,7 @@ def check(kernel, *args):
 
 @st.composite
 def road_rho_c(draw):
-    p = draw(params)
+    p = draw(gamma_params)
     return p, draw(densities(p)), draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * p.v_ref)))
 
 
@@ -80,7 +69,7 @@ def test_fundamental_kernels(case):
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(params, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@hypothesis.given(gamma_params, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_equilibrium_density(p, fraction):
     # fraction 1 is the capacity, where the discriminant may round below 0
     rho = check(fd.equilibrium_density, p, fraction * (p.v_ref * p.rho_max / 4.0))
@@ -90,7 +79,7 @@ def test_equilibrium_density(p, fraction):
 @st.composite
 def one_to_one_edge(draw):
     """Road, left density and attribute, and right speed; the speed may exceed the attribute."""
-    p = draw(params)
+    p = draw(gamma_params)
     rho = draw(densities(p))
     w = fd._pressure(p, rho) + draw(speeds(p))
     return p, rho, w, draw(speeds(p))
@@ -111,9 +100,9 @@ def test_junction_kernels(case):
 @st.composite
 def cross_road_edge(draw):
     """An outgoing road and its speed, and the attribute of a state on another road."""
-    left = draw(params)
+    left = draw(gamma_params)
     w = fd._pressure(left, draw(densities(left))) + draw(speeds(left))
-    right = draw(params)
+    right = draw(gamma_params)
     return right, draw(speeds(right)), w
 
 
@@ -129,7 +118,7 @@ def test_cross_road_supply(case):
 def merge_and_fluxes(draw):
     branches = []
     for _ in range(3):
-        p = draw(params)
+        p = draw(gamma_params)
         branches.append((p, TrafficState(draw(densities(p)), draw(speeds(p)))))
     q1, q2 = draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1e4))
     return branches, q1, q2

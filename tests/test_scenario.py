@@ -16,10 +16,8 @@ import pytest
 
 from arznet import cli, scenario, sim
 from arznet import junction as jn
-from test_cli import MERGE_DOC
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from shared import MERGE_DOC
+from shared_strategies import hypothesis, st
 
 DIVERGE_DOC = {
     "roads": [
@@ -84,6 +82,15 @@ class TestEdgeValues:
         sc = scenario.parse(json.loads(_with(MERGE_DOC, section, index, key, 100.0)))
         value = sc.roads["r1"].cells if key == "cells" else sc.sim.output_stride
         assert value == 100 and type(value) is int
+
+    @pytest.mark.parametrize("index, key, value, message", [
+        (0, "rho_max", 0.0, "road parameters must be finite and strictly positive"),
+        (1, "q_desired", 99999.0, "flux 99999.0 is not within the equilibrium capacity 4500.0"),
+    ], ids=["rho_max", "q_desired"])
+    def test_road_out_of_range(self, index, key, value, message):
+        """The road's own checks reject the value, and parse names the road."""
+        with pytest.raises(scenario.ScenarioError, match=rf"^roads\[{index}\]: {message}"):
+            scenario.parse(json.loads(_with(MERGE_DOC, "roads", index, key, value)))
 
     def test_zero_output_stride_rejected(self):
         with pytest.raises(scenario.ScenarioError, match="output_stride must be at least 1"):

@@ -9,27 +9,7 @@ from arznet import sim
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
 from arznet.rootfind import SolverFailure
-
-ROAD_IN = RoadParams(rho_max=180.0, v_ref=100.0, gamma=1.2)
-ROAD_OUT = RoadParams(rho_max=90.0, v_ref=100.0, gamma=1.7)
-
-
-def ramp_network(q2_desired, cells=100):
-    s1 = fd.equilibrium_state(ROAD_IN, 30.0)
-    s2 = fd.equilibrium_state(ROAD_IN, fd.equilibrium_density(ROAD_IN, q2_desired))
-    s3 = fd.equilibrium_state(ROAD_OUT, 10.0)
-    roads = {
-        "r1": sim.road_from_state("r1", ROAD_IN, 1.0, cells, s1),
-        "r2": sim.road_from_state("r2", ROAD_IN, 1.0, cells, s2),
-        "r3": sim.road_from_state("r3", ROAD_OUT, 1.0, cells, s3),
-    }
-    spec = JunctionSpec(JunctionKind.MERGE, (ROAD_IN, ROAD_IN), (ROAD_OUT,), priority=0.5)
-    return sim.Network(roads, [sim.NetworkJunction(spec, ("r1", "r2"), ("r3",))])
-
-
-def cells_of(batch):
-    """Each road's cell quantities for one step, as ``sim.run_batch`` passes them to ``step``."""
-    return {rid: sim._cells(rows) for rid, rows in batch.roads.items()}
+from shared import ROAD_IN, cells_of, ramp_branches, ramp_network
 
 
 class TestSingleRoad:
@@ -151,10 +131,7 @@ class TestMergeNetwork:
         net = ramp_network(2000.0)
         res = sim.run(net, sim.SimConfig(t_end=0.5))
         assert res.steady
-        s1 = fd.equilibrium_state(ROAD_IN, 30.0)
-        s2 = fd.equilibrium_state(ROAD_IN, fd.equilibrium_density(ROAD_IN, 2000.0))
-        s3 = fd.equilibrium_state(ROAD_OUT, 10.0)
-        sol = jc.solve_merge((ROAD_IN, s1), (ROAD_IN, s2), (ROAD_OUT, s3), 0.5)
+        sol = jc.solve_merge(*ramp_branches(2000.0), 0.5)
         assert res.steady_fluxes["r1", -1] == pytest.approx(sol.q_in[0], rel=1e-3)
         assert res.steady_fluxes["r2", -1] == pytest.approx(sol.q_in[1], rel=1e-3)
         assert res.steady_fluxes["r3", 0] == pytest.approx(sol.q_out[0], rel=1e-3)
@@ -183,6 +160,15 @@ class TestMergeNetwork:
 
 
 class TestNetworkValidation:
+    @pytest.mark.parametrize("length, cells, n, message", [
+        (0.0, 10, 10, "positive length and at least one cell"),
+        (1.0, 0, 0, "positive length and at least one cell"),
+        (1.0, 10, 9, "one entry per cell"),
+    ], ids=["length", "cells", "shape"])
+    def test_road_shape_rejected(self, length, cells, n, message):
+        with pytest.raises(ValueError, match=message):
+            sim.DiscretizedRoad("r", ROAD_IN, length, cells, np.full(n, 40.0), np.full(n, 3000.0))
+
     def test_unknown_road_rejected(self):
         s = fd.equilibrium_state(ROAD_IN, 30.0)
         roads = {"a": sim.road_from_state("a", ROAD_IN, 1.0, 10, s)}

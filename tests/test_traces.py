@@ -16,21 +16,12 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import rootfind
 from arznet.fundamental import RoadParams, TrafficState
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from shared_strategies import gamma_params, hypothesis, st
 
 # Newton from the end of a concave flux halves its distance to a double root
 # per step: about 25 evaluations for q at capacity, 5-10 below it
 MAX_EVALS = 30
 
-gammas = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.5, 4.0))
-params = st.builds(
-    RoadParams,
-    rho_max=st.floats(20.0, 300.0),
-    v_ref=st.floats(40.0, 160.0),
-    gamma=gammas,
-)
 # fractions of the capacity: vacuum, near vacuum, anywhere, 1 - 10^-k, capacity
 fractions = st.one_of(
     st.sampled_from([0.0, 1e-12, 1.0]),
@@ -41,7 +32,7 @@ fractions = st.one_of(
 
 @st.composite
 def trace_problems(draw):
-    p = draw(params)
+    p = draw(gamma_params)
     w = draw(st.floats(0.0, 2.0 * p.v_ref, exclude_min=True, allow_subnormal=False))
     return p, w, draw(fractions) * fd.capacity(p, w)
 
