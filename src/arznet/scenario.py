@@ -127,9 +127,10 @@ def parse(data: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         junctions.append(sim.NetworkJunction(spec, in_ids, out_ids))
-    # a road b with a junction at each end names its ends b[0] and b[-1] (sim.end_labels)
+    # the end labels of each road with a junction at both ends
     attached = [rid for nj in junctions for rid in nj.in_ids + nj.out_ids]
-    labels = {f"{rid}[{idx}]": rid for rid in roads if attached.count(rid) > 1 for idx in (0, -1)}
+    labels = {label: rid for rid in roads if attached.count(rid) > 1
+              for label in sim.end_labels([(rid, 0), (rid, -1)])}
     for k, rid in enumerate(roads):
         _require(rid not in labels, "roads[{}].id: {!r} is an end label of road {!r}",
                  k, rid, labels.get(rid))

@@ -29,10 +29,6 @@ from .fundamental import RoadParams, TrafficState
 from .rootfind import SolverFailure
 
 
-class CFLViolation(SolverFailure):
-    """Requested time step exceeds the stability bound."""
-
-
 @dataclass
 class DiscretizedRoad:
     """One road split into uniform cells carrying the conservative pair (rho, y)."""
@@ -111,7 +107,7 @@ STEADY_WINDOW = 100    # consecutive steps below steady_tol that make a run stea
 MAX_STEPS = 1_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     t_end: float = 0.25          # [h]
     cfl: float = 0.5
@@ -318,22 +314,22 @@ def _in_row(exc: Exception, row: int) -> Exception:
     return exc
 
 
-def step(batch: Batch, dt: np.ndarray, cells: dict[str, _Cells]):
-    """Advance every member by one conservative update, member b by ``dt[b]``.
+def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
+    """Advance every member by one whole step: member b by its CFL time step, or by
+    ``t_left[b]`` when that is shorter.
 
-    Returns, per member, the (mass flux, momentum flux, w) of
-    ``_junction_edges`` per junction road end, and the edge fluxes (mass,
-    momentum) per road, one row per member. ``cells`` holds this step's
-    ``_cells`` per road. Raises CFLViolation when a member's ``dt`` exceeds
-    its stability bound; that and a junction's SolverFailure carry the
-    member's ``row``.
+    Returns each member's dt; per member, the (mass flux, momentum flux, w)
+    of ``_junction_edges`` per junction road end; and the edge fluxes (mass,
+    momentum) per road, one row per member. A non-finite state and a
+    junction's SolverFailure carry the member's ``row``.
     """
-    for rid, rows in batch.roads.items():
-        over = dt > rows.road.dx / cells[rid].speed * (1.0 + 1e-12)
-        if over.any():
-            row = int(np.argmax(over))
-            raise _in_row(CFLViolation(f"dt={float(dt[row])} exceeds the CFL bound on road {rid}"),
-                          row)
+    cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
+    for rid, c in cells.items():
+        bad = ~np.isfinite(c.speed)
+        if bad.any():
+            raise _in_row(SolverFailure(f"non-finite state on road {rid}"), int(np.argmax(bad)))
+    # cfl <= 1 (SimConfig) keeps dt within dx / speed on every road
+    dt = np.minimum(stable_dt(batch, cfg.cfl, cells), t_left)
 
     # every edge as a 1-to-1 interface; junction edges are overwritten below
     edge = {}
@@ -366,7 +362,7 @@ def step(batch: Batch, dt: np.ndarray, cells: dict[str, _Cells]):
         rows.y -= lam * (fy[:, 1:] - fy[:, :-1])
         np.maximum(rows.rho, 0.0, out=rows.rho)
         np.maximum(rows.y, 0.0, out=rows.y)
-    return junction_edges, edge
+    return dt, junction_edges, edge
 
 
 def _at(exc: Exception, member: int, steps: int, t) -> Exception:
@@ -410,7 +406,6 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     flows = np.zeros((len(_FLOWS), len(networks)))
     steady = np.zeros(len(networks), dtype=int)
     prev = None
-    jfs = [None] * len(networks)
     steps = 0
     while True:
         done = ~(t < cfg.t_end * (1.0 - 1e-12)) | (steady >= STEADY_WINDOW) | (steps >= MAX_STEPS)
@@ -432,15 +427,8 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
             flows = flows[:, keep]
             prev = None if prev is None else prev[keep]
 
-        cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
         try:
-            for rid, c in cells.items():
-                bad = ~np.isfinite(c.speed)
-                if bad.any():
-                    raise _in_row(SolverFailure(f"non-finite state on road {rid}"),
-                                  int(np.argmax(bad)))
-            dt = np.minimum(stable_dt(batch, cfg.cfl, cells), cfg.t_end - t)
-            jfs, edge = step(batch, dt, cells)
+            dt, jfs, edge = step(batch, cfg, cfg.t_end - t)
         except SolverFailure as exc:
             raise _at(exc, members[exc.row], steps, t[exc.row])
         for rid, idx in batch.external_ends:

@@ -1,5 +1,5 @@
 """What several test modules share: the on-ramp reference, a small merge scenario,
-the cells of a batch, and random roads and states drawn from a numpy generator.
+and random roads and states drawn from a numpy generator.
 
 No hypothesis here: the modules that import this one run without it. Its
 strategies are in ``shared_strategies``.
@@ -59,11 +59,6 @@ MERGE_DOC = {
     ],
     "sim": {"t_end": 0.05, "cfl": 0.5},
 }
-
-
-def cells_of(batch):
-    """Each road's cell quantities for one step, as ``sim.run_batch`` passes them to ``step``."""
-    return {rid: sim._cells(rows) for rid, rows in batch.roads.items()}
 
 
 def rand_params(rng):

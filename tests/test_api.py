@@ -122,6 +122,14 @@ def test_no_test_module_imports_another():
     assert [(f, m) for f, m in imports if m.split(".")[0].startswith("test_")] == []
 
 
+def test_no_test_reads_a_private_sim_name():
+    """Tests drive the simulator through its public names: ``sim.step`` takes a whole step."""
+    private = sorted((path.name, name) for path in TESTS.glob("*.py")
+                     for mod, name in _arznet_reads(path)
+                     if mod == "arznet.sim" and name.startswith("_"))
+    assert private == []
+
+
 def test_benchmark_reads_resolve():
     reads = _arznet_reads(BENCH / "workloads.py") | _arznet_reads(BENCH / "tracer.py")
     assert {("arznet.scenario", "build_junction_spec"), ("arznet.scenario", "junction_states"),

@@ -8,6 +8,7 @@ whenever they leave the batch.
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -216,12 +217,14 @@ class TestFailuresNameTheirMember:
             sim.run_batch(nets, cfg)
         assert info.value.member == 1
 
-    def test_cfl_violation_names_member_step_and_t(self, monkeypatch):
-        stable_dt = sim.stable_dt
-        monkeypatch.setattr(sim, "stable_dt", lambda *args: 10.0 * stable_dt(*args))
-        with pytest.raises(sim.CFLViolation, match=r"at step 0, t=0\.0 \(member 0\)$") as info:
-            sim.run_batch([ramp_network(1000.0), ramp_network(2000.0)], sim.SimConfig())
-        assert info.value.member == 0
+    def test_non_finite_state_names_member_step_and_t(self):
+        nets = [ramp_network(1000.0), ramp_network(2000.0)]
+        # an interior cell: a non-finite end cell fails earlier, in TrafficState
+        nets[1].roads["r2"].y[5] = math.nan
+        with pytest.raises(SolverFailure, match=r"^non-finite state on road r2 at step 0, "
+                                                r"t=0\.0 \(member 1\)$") as info:
+            sim.run_batch(nets, sim.SimConfig())
+        assert info.value.member == 1
 
     def test_capacity_drop_names_the_sweep_value(self, tmp_path, monkeypatch, capsys):
         """A root-find failure and an infeasible flux are both numerical failures: exit 3."""

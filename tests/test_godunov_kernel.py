@@ -13,7 +13,6 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import sim
 from arznet.fundamental import RoadParams, TrafficState
-from shared import cells_of
 from shared_strategies import hypothesis, st
 
 RTOL = 1e-12
@@ -67,7 +66,7 @@ def test_vector_edges_match_scalar_flux(case):
                             ghost_left=g_left, ghost_right=g_right)
     states = [fd.from_conservative(p, float(a), float(b)) for a, b in zip(r.rho, r.y)]
     batch = sim.batch_of([sim.Network({"r": r})])
-    _, edge = sim.step(batch, np.zeros(1), cells_of(batch))
+    _, _, edge = sim.step(batch, sim.SimConfig(), np.zeros(1))  # dt = 0: only the fluxes
     fm, fy = (f[0] for f in edge["r"])  # the one member's row
     atol = ATOL * p.rho_max * p.v_ref
     for i, (left, right) in enumerate(zip([g_left, *states], [*states, g_right])):

@@ -8,7 +8,7 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
-from shared import ROAD_IN, rand_params, rand_state
+from shared import ROAD_IN, ROAD_OUT, rand_params, rand_state
 
 
 def one_to_one(p1, s1, p2, s2):
@@ -56,7 +56,7 @@ class TestOneToOne:
             assert sol.w_out[0] == pytest.approx(w1)
 
     def test_attribute_transported(self):
-        p = RoadParams(180.0, 100.0, 1.2)
+        p = ROAD_IN
         s = fd.equilibrium_state(p, 30.0)
         sol = one_to_one(p, s, p, TrafficState(10.0, fd.equilibrium_speed(p, 10.0)))
         assert sol.w_out[0] == pytest.approx(fd.attribute(p, s), rel=1e-12)
@@ -185,7 +185,7 @@ class TestSpecValidation:
 class TestConsistency:
     def test_one_trace_per_branch(self, monkeypatch):
         """The re-solve from the traces needs only its fluxes: one trace per branch in all."""
-        p, q = RoadParams(180.0, 100.0, 1.2), RoadParams(90.0, 100.0, 1.7)
+        p, q = ROAD_IN, ROAD_OUT
         s, t = fd.equilibrium_state(p, 30.0), fd.equilibrium_state(q, 60.0)
         cases = [
             (JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (q,)), [s, t]),
@@ -218,7 +218,7 @@ class TestAdmissibility:
             assert rep.ok, rep
 
     def test_detects_bad_boundary_state(self):
-        p = RoadParams(180.0, 100.0, 1.2)
+        p = ROAD_IN
         s = fd.equilibrium_state(p, 30.0)
         spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,))
         sol = jc.solve(spec, [s, s])

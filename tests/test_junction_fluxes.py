@@ -8,6 +8,7 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionFluxes, JunctionKind, JunctionSpec
+from shared import ROAD_IN, ROAD_OUT
 from shared_strategies import hypothesis, instance
 
 FLUX_FIELDS = [f.name for f in dataclasses.fields(JunctionFluxes)]
@@ -24,7 +25,7 @@ def test_fluxes_equal_solve_exactly(case):
 
 
 def _roads_and_states():
-    a, b, c = RoadParams(180.0, 100.0, 1.2), RoadParams(90.0, 100.0, 1.7), RoadParams(120.0, 80.0, 2.0)
+    a, b, c = ROAD_IN, ROAD_OUT, RoadParams(120.0, 80.0, 2.0)
     states = {a: TrafficState(30.0, 60.0), b: TrafficState(10.0, 70.0), c: TrafficState(0.0, 0.0)}
     return a, b, c, states
 

@@ -5,7 +5,7 @@ from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import oracle
 from arznet.fundamental import RoadParams, TrafficState
-from shared import ramp_branches, rand_params, rand_state
+from shared import ROAD_IN, ramp_branches, rand_params, rand_state
 
 # Steady merge fluxes for the reference on-ramp scenario: road 1 at density 30,
 # road 3 at density 10, equal priority, road-2 inflow swept over its demand.
@@ -189,7 +189,7 @@ class TestNearVacuum:
 
 # Road 1 carries the larger attribute, so the merge runs the mirrored
 # construction with priority 1 - p; swapping the states gives the direct one.
-TINY_PRIORITY_ROADS = [RoadParams(180.0, 100.0, 1.2)] * 3
+TINY_PRIORITY_ROADS = [ROAD_IN] * 3
 TINY_PRIORITY_STATES = [TrafficState(30.0, 60.0), TrafficState(30.0, 40.0), TrafficState(10.0, 80.0)]
 
 

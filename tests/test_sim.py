@@ -9,7 +9,7 @@ from arznet import sim
 from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
 from arznet.rootfind import SolverFailure
-from shared import ROAD_IN, cells_of, ramp_branches, ramp_network
+from shared import ROAD_IN, ramp_branches, ramp_network
 
 
 class TestSingleRoad:
@@ -41,12 +41,23 @@ class TestSingleRoad:
         assert abs(r_mass) < 1e-10
         assert abs(r_mom) < 1e-9
 
-    def test_cfl_violation_raised(self):
-        s = fd.equilibrium_state(ROAD_IN, 40.0)
-        batch = sim.batch_of([sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})])
-        cells = cells_of(batch)
-        with pytest.raises(sim.CFLViolation):
-            sim.step(batch, 10.0 * sim.stable_dt(batch, 1.0, cells), cells)
+    def test_step_takes_the_cfl_step_or_t_left(self):
+        """Member 0 takes its CFL step, member 1 exactly the time it has left."""
+        # a speed above v_ref is member 0's max wave speed: lambda_1 = v - gamma p(rho) < v
+        states = TrafficState(30.0, 150.0), fd.equilibrium_state(ROAD_IN, 40.0)
+        batch = sim.batch_of([sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})
+                              for s in states])
+        dt, _, _ = sim.step(batch, sim.SimConfig(cfl=0.5), np.array([math.inf, 1e-9]))
+        assert dt[0] == pytest.approx(0.5 * (2.0 / 50) / 150.0, rel=1e-12)
+        assert dt[1] == 1e-9
+
+    def test_zero_step_leaves_the_cells_unchanged(self):
+        net = ramp_network(2000.0)
+        sim.run(net, sim.SimConfig(t_end=0.02))
+        before = {rid: (r.rho.tobytes(), r.y.tobytes()) for rid, r in net.roads.items()}
+        dt, _, edge = sim.step(sim.batch_of([net]), sim.SimConfig(), np.zeros(1))
+        assert dt[0] == 0.0 and all(np.any(fm != 0.0) for fm, _ in edge.values())
+        assert {rid: (r.rho.tobytes(), r.y.tobytes()) for rid, r in net.roads.items()} == before
 
 
 class TestContactArtifact:
@@ -76,6 +87,11 @@ class TestNonFinite:
     def test_config_rejects_non_finite(self, field, bad):
         with pytest.raises(ValueError, match=field):
             sim.SimConfig(**{"t_end": 0.05, field: bad})
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_config_rejects_cfl_outside_0_1(self, cfl):
+        with pytest.raises(ValueError, match="cfl"):
+            sim.SimConfig(cfl=cfl)
 
     @pytest.mark.parametrize("field", ["rho", "y"])
     def test_nan_cell_rejected_at_construction(self, field):
@@ -139,9 +155,7 @@ class TestMergeNetwork:
     def test_outgoing_flux_is_exact_sum(self):
         net = ramp_network(2000.0)
         sim.run(net, sim.SimConfig(t_end=0.02))
-        batch = sim.batch_of([net])
-        cells = cells_of(batch)
-        (jf,), _ = sim.step(batch, sim.stable_dt(batch, 0.5, cells), cells)
+        _, (jf,), _ = sim.step(sim.batch_of([net]), sim.SimConfig(), np.full(1, math.inf))
         assert jf["r3", 0][0] == jf["r1", -1][0] + jf["r2", -1][0]
 
     def test_network_mass_ledger(self):
