@@ -100,8 +100,7 @@ def cmd_capacity_drop(args) -> int:
         except SolverFailure as exc:
             exc.args = (f"{exc}, sweep value {sweep[exc.member]!r}",)
             raise
-        fluxes = [(q[nj.in_ids[0], -1], q[nj.in_ids[1], -1], q[nj.out_ids[0], 0])
-                  for q in (res.steady_fluxes for res in results)]
+        fluxes = [[res.steady_fluxes[end] for end in nj.ends] for res in results]
 
     rows = []
     for q2_desired, (q1, q2, outflow) in zip(sweep, fluxes):

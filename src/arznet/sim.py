@@ -83,6 +83,12 @@ class NetworkJunction:
     in_ids: tuple[str, ...]
     out_ids: tuple[str, ...]
 
+    @property
+    def ends(self) -> list[tuple[str, int]]:
+        """(road id, edge index) of each road end at the junction, in its branch order:
+        an incoming road meets it at its right end (-1), an outgoing road at its left (0)."""
+        return [(rid, -1) for rid in self.in_ids] + [(rid, 0) for rid in self.out_ids]
+
 
 @dataclass
 class Network:
@@ -90,17 +96,21 @@ class Network:
     junctions: list[NetworkJunction] = field(default_factory=list)
 
     def __post_init__(self):
-        used = set()
+        # the ends of every junction, in junction order: the order of the junction fluxes
+        self.junction_ends = []
         for j in self.junctions:
-            for rid, idx in [(r, -1) for r in j.in_ids] + [(r, 0) for r in j.out_ids]:
+            for rid, idx in j.ends:
                 if rid not in self.roads:
                     raise ValueError(f"junction references unknown road {rid!r}")
-                if (rid, idx) in used:
+                if (rid, idx) in self.junction_ends:
                     raise ValueError(f"road end ({rid!r}, {idx}) attached to two junctions")
-                used.add((rid, idx))
+                self.junction_ends.append((rid, idx))
+            params = tuple(self.roads[rid].params for rid, _ in j.ends)
+            if j.spec.incoming + j.spec.outgoing != params:
+                raise ValueError(f"junction spec does not match its roads {j.in_ids + j.out_ids}")
         # (road id, edge index) of each end without a junction: in road order, left before right
         self.external_ends = [(rid, idx) for rid in self.roads for idx in (0, -1)
-                              if (rid, idx) not in used]
+                              if (rid, idx) not in self.junction_ends]
 
 
 STEADY_WINDOW = 100    # consecutive steps below steady_tol that make a run steady
@@ -213,15 +223,13 @@ class Batch:
     cell count; their cells and ghosts differ.
     """
 
-    junctions: list[NetworkJunction]
-    external_ends: list[tuple[str, int]]
+    net: Network   # the first member's: junctions and road ends
     roads: dict[str, RoadRows]
 
     def take(self, rows) -> Batch:
         """The batch of the members selected by ``rows``, as copies."""
-        return Batch(self.junctions, self.external_ends,
-                     {rid: RoadRows(r.road, r.rho[rows], r.y[rows], r.ghosts[rows])
-                      for rid, r in self.roads.items()})
+        return Batch(self.net, {rid: RoadRows(r.road, r.rho[rows], r.y[rows], r.ghosts[rows])
+                                for rid, r in self.roads.items()})
 
 
 def batch_of(networks: list[Network]) -> Batch:
@@ -243,7 +251,7 @@ def batch_of(networks: list[Network]) -> Batch:
         else:
             rho, y = np.stack([m.rho for m in members]), np.stack([m.y for m in members])
         roads[rid] = RoadRows(road, rho, y, np.array([_ghost_columns(m) for m in members]))
-    return Batch(first.junctions, first.external_ends, roads)
+    return Batch(first, roads)
 
 
 class _Cells(NamedTuple):
@@ -289,39 +297,43 @@ def stable_dt(batch: Batch, cfl: float, cells: dict[str, _Cells]) -> np.ndarray:
     return dt
 
 
-def _junction_edges(batch: Batch, row: int) -> dict[tuple[str, int], tuple[float, float, float]]:
-    """(mass flux, momentum flux, w) at each junction road end of member ``row``,
-    keyed by (road id, edge index)."""
-    edges = {}
-    for nj in batch.junctions:
-        states = [batch.roads[rid].end_state(row, -1) for rid in nj.in_ids]
-        states += [batch.roads[rid].end_state(row, 0) for rid in nj.out_ids]
-        fl = jn.junction_fluxes(nj.spec, states)
-        mom_in = [q * wv for q, wv in zip(fl.q_in, fl.w_in)]
-        for rid, q, mom, wv in zip(nj.in_ids, fl.q_in, mom_in, fl.w_in):
-            edges[rid, -1] = (q, mom, wv)
-        if len(nj.out_ids) == 1:
-            # hand the outgoing road the exact incoming totals
-            edges[nj.out_ids[0], 0] = (math.fsum(fl.q_in), math.fsum(mom_in), fl.w_out[0])
-        else:
-            for rid, q, wv in zip(nj.out_ids, fl.q_out, fl.w_out):
-                edges[rid, 0] = (q, q * wv, wv)
-    return edges
-
-
 def _in_row(exc: Exception, row: int) -> Exception:
     exc.row = row
     return exc
+
+
+def _junction_edges(batch: Batch, members: int) -> np.ndarray:
+    """(mass flux, momentum flux, w) of each member at each junction road end: shape
+    (members, ends, 3), the ends in ``Network.junction_ends`` order. A junction's
+    SolverFailure carries the member's ``row``."""
+    jfs = []
+    for row in range(members):
+        ends = []
+        for nj in batch.net.junctions:
+            states = [batch.roads[rid].end_state(row, idx) for rid, idx in nj.ends]
+            try:
+                fl = jn.junction_fluxes(nj.spec, states)
+            except SolverFailure as exc:
+                raise _in_row(exc, row)
+            mom_in = [q * wv for q, wv in zip(fl.q_in, fl.w_in)]
+            ends += zip(fl.q_in, mom_in, fl.w_in)
+            if len(nj.out_ids) == 1:
+                # hand the outgoing road the exact incoming totals
+                ends.append((math.fsum(fl.q_in), math.fsum(mom_in), fl.w_out[0]))
+            else:
+                ends += [(q, q * wv, wv) for q, wv in zip(fl.q_out, fl.w_out)]
+        jfs.append(ends)
+    return np.array(jfs, dtype=float).reshape(members, len(batch.net.junction_ends), 3)
 
 
 def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
     """Advance every member by one whole step: member b by its CFL time step, or by
     ``t_left[b]`` when that is shorter.
 
-    Returns each member's dt; per member, the (mass flux, momentum flux, w)
-    of ``_junction_edges`` per junction road end; and the edge fluxes (mass,
-    momentum) per road, one row per member. A non-finite state and a
-    junction's SolverFailure carry the member's ``row``.
+    Returns each member's dt; the (mass flux, momentum flux, w) of each
+    member at each junction road end, as ``_junction_edges`` gives them; and
+    the edge fluxes (mass, momentum) per road, one row per member. A
+    non-finite state and a junction's SolverFailure carry the member's ``row``.
     """
     cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
     for rid, c in cells.items():
@@ -344,16 +356,10 @@ def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
         edge[rid] = (fm, c.w * fm)
 
     # the junction solves: a scalar loop over the members
-    junction_edges = []
-    for row in range(len(dt)):
-        try:
-            jf = _junction_edges(batch, row)
-        except SolverFailure as exc:
-            raise _in_row(exc, row)
-        for (rid, idx), (q, mom, _) in jf.items():
-            fm, fy = edge[rid]
-            fm[row, idx], fy[row, idx] = q, mom
-        junction_edges.append(jf)
+    junction_edges = _junction_edges(batch, len(dt))
+    for k, (rid, idx) in enumerate(batch.net.junction_ends):
+        fm, fy = edge[rid]
+        fm[:, idx], fy[:, idx] = junction_edges[:, k, 0], junction_edges[:, k, 1]
 
     for rid, rows in batch.roads.items():
         fm, fy = edge[rid]
@@ -384,22 +390,22 @@ def run(network: Network, cfg: SimConfig) -> SimResult:
 def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     """``run`` for each of several networks of one topology, stepped as one batch.
 
-    Each member keeps its own t, dt, ledger, recorded times and steady
-    window, and its arithmetic is that of a run of its network alone. A
-    member that reaches t_end or turns steady leaves the batch with its
-    result, and its network holds its final state, as after ``run``.
+    Each member keeps its own t, dt, ledger, records and steady window, and
+    its arithmetic is that of a run of its network alone. A member that
+    reaches t_end or turns steady leaves the batch with its result, and its
+    network holds its final state, as after ``run``.
     """
     batch = batch_of(networks)
     members = np.arange(len(networks))  # the member of each row
     mass0 = [math.fsum(r.total_mass() for r in net.roads.values()) for net in networks]
     momentum0 = [math.fsum(r.total_momentum() for r in net.roads.values()) for net in networks]
-    times = [[0.0] for _ in networks]
-    snapshots = []  # per member, the junction fluxes at its `times`: initial data first
-    for row in members:
-        try:
-            snapshots.append([_junction_edges(batch, row)])
-        except SolverFailure as exc:
-            raise _at(exc, row, 0, 0.0)
+    try:
+        jfs = _junction_edges(batch, len(networks))
+    except SolverFailure as exc:
+        raise _at(exc, exc.row, 0, 0.0)
+    # per member, (t, the junction fluxes that advanced it to t); at t = 0 the initial data's.
+    # Plain lists: a record pins no step's array
+    records = [[(0.0, jf)] for jf in jfs.tolist()]
     results = [None] * len(networks)
 
     t = np.zeros(len(networks))
@@ -413,12 +419,11 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
             final_v = {rid: _cells(rows).v for rid, rows in batch.roads.items()}
             for row in np.flatnonzero(done):
                 m = members[row]
-                if times[m][-1] != t[row]:  # only after a step: t stays 0.0 until one is taken
-                    times[m].append(float(t[row]))
-                    snapshots[m].append(jfs[row])
+                if records[m][-1][0] != t[row]:  # only after a step: t stays 0.0 until one is taken
+                    records[m].append((float(t[row]), jfs[row].tolist()))
                 ledger = MassLedger(initial_mass=mass0[m], initial_momentum=momentum0[m],
                                     **{k: float(x) for k, x in zip(_FLOWS, flows[:, row])})
-                results[m] = _result(networks[m], batch, row, final_v, times[m], snapshots[m],
+                results[m] = _result(networks[m], batch, row, final_v, records[m],
                                      ledger, steps, bool(steady[row] >= STEADY_WINDOW))
             if done.all():
                 return results
@@ -431,7 +436,7 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
             dt, jfs, edge = step(batch, cfg, cfg.t_end - t)
         except SolverFailure as exc:
             raise _at(exc, members[exc.row], steps, t[exc.row])
-        for rid, idx in batch.external_ends:
+        for rid, idx in batch.net.external_ends:
             fm, fy = edge[rid]
             k = 0 if idx == 0 else 1
             flows[k] += dt * fm[:, idx]
@@ -440,17 +445,16 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
         steps += 1
         if steps % cfg.output_stride == 0:
             for row, m in enumerate(members):
-                times[m].append(float(t[row]))
-                snapshots[m].append(jfs[row])
-        if jfs[0]:
-            cur = np.array([[q for q, _, _ in jf.values()] for jf in jfs])
+                records[m].append((float(t[row]), jfs[row].tolist()))
+        if jfs.shape[1]:
+            cur = jfs[:, :, 0]
             if prev is not None:
                 change = np.abs(cur - prev).max(axis=1) / np.maximum(1.0, np.abs(cur).max(axis=1))
                 steady = np.where(change < cfg.steady_tol, steady + 1, 0)
             prev = cur
 
 
-def _result(network, batch, row, final_v, times, snapshots, ledger, steps, steady) -> SimResult:
+def _result(network, batch, row, final_v, records, ledger, steps, steady) -> SimResult:
     """Member ``row``'s result; its final cells go back into its own ``network``."""
     final_rho, v = {}, {}
     for rid, road in network.roads.items():
@@ -460,10 +464,10 @@ def _result(network, batch, row, final_v, times, snapshots, ledger, steps, stead
         v[rid] = final_v[rid][row, :-1]
     ledger.final_mass = math.fsum(r.total_mass() for r in network.roads.values())
     ledger.final_momentum = math.fsum(r.total_momentum() for r in network.roads.values())
+    jfs = np.array([jf for _, jf in records])
     return SimResult(
-        times=np.array(times),
-        flux_series={end: np.array([(s[end][0], s[end][2]) for s in snapshots])
-                     for end in snapshots[0]},
+        times=np.array([t for t, _ in records]),
+        flux_series={end: jfs[:, k, [0, 2]] for k, end in enumerate(network.junction_ends)},
         final_rho=final_rho, final_v=v, ledger=ledger, steps=steps, steady=steady,
     )
 

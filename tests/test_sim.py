@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -58,6 +59,15 @@ class TestSingleRoad:
         dt, _, edge = sim.step(sim.batch_of([net]), sim.SimConfig(), np.zeros(1))
         assert dt[0] == 0.0 and all(np.any(fm != 0.0) for fm, _ in edge.values())
         assert {rid: (r.rho.tobytes(), r.y.tobytes()) for rid, r in net.roads.items()} == before
+
+    def test_no_junction_gives_no_junction_fluxes(self):
+        s = fd.equilibrium_state(ROAD_IN, 40.0)
+        net = sim.Network({"r": sim.road_from_state("r", ROAD_IN, 2.0, 50, s)})
+        batch = sim.batch_of([copy.deepcopy(net)])
+        _, junction_edges, _ = sim.step(batch, sim.SimConfig(), np.full(1, math.inf))
+        assert junction_edges.shape == (1, 0, 3)
+        res = sim.run(net, sim.SimConfig(t_end=0.01, output_stride=1))
+        assert res.flux_series == {} and len(res.times) == res.steps + 1
 
 
 class TestContactArtifact:
@@ -155,8 +165,20 @@ class TestMergeNetwork:
     def test_outgoing_flux_is_exact_sum(self):
         net = ramp_network(2000.0)
         sim.run(net, sim.SimConfig(t_end=0.02))
-        _, (jf,), _ = sim.step(sim.batch_of([net]), sim.SimConfig(), np.full(1, math.inf))
-        assert jf["r3", 0][0] == jf["r1", -1][0] + jf["r2", -1][0]
+        batch = sim.batch_of([net])
+        _, (jf,), _ = sim.step(batch, sim.SimConfig(), np.full(1, math.inf))
+        q = dict(zip(batch.net.junction_ends, jf[:, 0]))
+        assert q["r3", 0] == q["r1", -1] + q["r2", -1]
+
+    def test_first_record_is_the_first_steps_junction_fluxes(self):
+        """The t = 0 record holds the fluxes of the initial data: those of step 1."""
+        net = ramp_network(2000.0)
+        _, (jf,), _ = sim.step(sim.batch_of([copy.deepcopy(net)]), sim.SimConfig(),
+                               np.full(1, math.inf))
+        res = sim.run(net, sim.SimConfig(t_end=0.002))
+        assert res.times[0] == 0.0
+        for k, end in enumerate([("r1", -1), ("r2", -1), ("r3", 0)]):
+            assert res.flux_series[end][0].tolist() == [jf[k, 0], jf[k, 2]], end
 
     def test_network_mass_ledger(self):
         net = ramp_network(2500.0)
@@ -205,6 +227,18 @@ class TestNetworkValidation:
                     sim.NetworkJunction(spec, ("a",), ("b",)),
                 ],
             )
+
+
+    @pytest.mark.parametrize("spec_params, in_ids", [
+        (RoadParams(90.0, 60.0, 2.0), ("a",)),
+        (ROAD_IN, ("a", "c")),
+    ], ids=["parameters", "road-count"])
+    def test_junction_that_does_not_match_its_roads_rejected(self, spec_params, in_ids):
+        s = fd.equilibrium_state(ROAD_IN, 30.0)
+        roads = {rid: sim.road_from_state(rid, ROAD_IN, 1.0, 10, s) for rid in "abc"}
+        spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (spec_params,), (spec_params,))
+        with pytest.raises(ValueError, match="junction spec does not match its roads"):
+            sim.Network(roads, [sim.NetworkJunction(spec, in_ids, ("b",))])
 
 
 class TestCsvOutput:
