@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,14 @@ class RoadParams:
                 f"road parameters must be finite and strictly positive, got "
                 f"rho_max={self.rho_max}, v_ref={self.v_ref}, gamma={self.gamma}"
             )
+
+    @cached_property
+    def supply_constants(self) -> tuple[tuple[float, float, float], float]:
+        """(K, 0, e) with capacity K c^e along {w = c}, and (gamma/v_ref)^(1/gamma), the factor of
+        p^-1 in the congested supply: the merge geometry's own factors of the road, computed once."""
+        g = self.gamma
+        k_free = (g / (g + 1.0)) ** ((g + 1.0) / g) * self.rho_max / self.v_ref ** (1.0 / g)
+        return (k_free, 0.0, (g + 1.0) / g), (g / self.v_ref) ** (1.0 / g)
 
 
 @dataclass(frozen=True)
@@ -177,10 +186,14 @@ def to_conservative(p: RoadParams, s: TrafficState) -> tuple[float, float]:
 
 def from_conservative(p: RoadParams, rho: float, y: float) -> TrafficState:
     """Primitive state from the conservative pair; vacuum reports v = v_ref."""
+    return TrafficState(*_primitive(p, rho, y))
+
+
+def _primitive(p: RoadParams, rho: float, y: float) -> tuple[float, float]:
+    """``from_conservative``'s (rho, v) as plain floats, unchecked."""
     if rho < VACUUM_RHO:
-        return TrafficState(rho=max(rho, 0.0), v=p.v_ref)
-    v = y / rho - _pressure(p, rho)
-    return TrafficState(rho=rho, v=max(v, 0.0))
+        return max(rho, 0.0), p.v_ref
+    return rho, max(y / rho - _pressure(p, rho), 0.0)
 
 
 def equilibrium_speed(p: RoadParams, rho):

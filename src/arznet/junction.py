@@ -8,11 +8,12 @@ mix at a merge as a flux-weighted convex combination, which makes the downstream
 supply depend on the flux split itself; the merge solver resolves this with a
 two-step construction (priority-enforced split, then projection onto the Pareto
 front of the admissible flux set by clamped fixed points, each a bracketed
-scalar root).  Both kernels return the fluxes with one bound (a demand or a
-supply) and one sonic point per branch, incoming first, each computed once:
-``junction_fluxes`` checks each flux against the capacity at that point, and
-each trace of ``solve`` takes it to split its curve.  Both entry points call
-the merge kernel for a merge and the single-inflow kernel otherwise.
+scalar root).  Both kernels take a float density and speed per branch and return
+the fields of ``JunctionFluxes`` as a tuple, with one bound (a demand or a supply)
+and one sonic point per branch, incoming first, each computed once: ``fluxes``
+checks each flux against the capacity at that point, and each trace of ``solve``
+takes it to split its curve.  All entry points call the merge kernel for a merge
+and the single-inflow kernel otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,12 +64,12 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
     return out_road.rho_max * arg ** (1.0 / out_road.gamma)
 
 
-def _demand_of(p: RoadParams, s: TrafficState):
+def _demand_of(p: RoadParams, rho: float, v: float):
     """Attribute w = v + p(rho) of an incoming road's state, its demand and the sonic point along w."""
-    p_rho = fd._pressure(p, s.rho)
-    w = s.v + p_rho
+    p_rho = fd._pressure(p, rho)
+    w = v + p_rho
     sigma = fd._sonic_point(p, w)
-    return w, fd._demand(s.rho, p_rho, w, sigma, fd._capacity(p, w, sigma)), sigma
+    return w, fd._demand(rho, p_rho, w, sigma, fd._capacity(p, w, sigma)), sigma
 
 
 def _supply_for(p: RoadParams, v, w):
@@ -225,40 +226,40 @@ def reconstruct_boundary_state(
 
 
 def _with_traces(
-    fl: JunctionFluxes,
-    incoming: Sequence[Branch],
-    outgoing: Sequence[Branch],
+    fl: tuple,
+    roads: Sequence[RoadParams],
+    states: Sequence[TrafficState],
     bounds: Sequence[float],
     sigmas: Sequence[float],
 ) -> JunctionSolution:
-    """Add the boundary traces to junction fluxes; a bound is active where the flux meets it."""
+    """Add the boundary traces to a kernel's fluxes ``fl``; a bound is active where the flux meets it."""
     tol = flux_tol(max(bounds))
-    n = len(incoming)
+    n = len(fl[0])
     traces = tuple(
         reconstruct_boundary_state(p, w, q, "incoming" if i < n else "outgoing", s,
                                    abs(q - bound) <= tol, sigma)
-        for i, ((p, s), q, w, bound, sigma) in enumerate(zip(
-            (*incoming, *outgoing), fl.q_in + fl.q_out, fl.w_in + fl.w_out, bounds, sigmas))
+        for i, (p, s, q, w, bound, sigma) in enumerate(zip(
+            roads, states, fl[0] + fl[1], fl[2] + fl[3], bounds, sigmas))
     )
-    return JunctionSolution(**vars(fl), boundary_in=traces[:n], boundary_out=traces[n:])
+    return JunctionSolution(*fl, boundary_in=traces[:n], boundary_out=traces[n:])
 
 
 # ---------------------------------------------------------------------------
 # Junctions with a single incoming road
 # ---------------------------------------------------------------------------
 
-def _single_inflow(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequence[float]):
+def _single_inflow(roads: Sequence[RoadParams], rho, v, alphas: Sequence[float]):
     """1-to-m fluxes, with the demand and the supplies as bounds and their sonic points.
 
     A 1-to-1 junction is the case m = 1 with alpha = 1, for which the
     division, the products and the one-term sum below are exact.
     """
-    w1, d1, sigma1 = _demand_of(*incoming)
-    supplies, sigmas = zip(*[_supply_for(pj, sj.v, w1) for pj, sj in outgoings])
+    w1, d1, sigma1 = _demand_of(roads[0], rho[0], v[0])
+    supplies, sigmas = zip(*[_supply_for(pj, vj, w1) for pj, vj in zip(roads[1:], v[1:])])
     q1 = min(d1, *(sup / a for sup, a in zip(supplies, alphas)))
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
-    fl = JunctionFluxes(q_in=(q1,), q_out=q_out, w_in=(w1,), w_out=(w1,) * len(q_out))
+    fl = ((q1,), q_out, (w1,), (w1,) * len(q_out), None, None)
     return fl, (d1, *supplies), (sigma1, *sigmas)
 
 
@@ -266,8 +267,7 @@ def _single_inflow(incoming: Branch, outgoings: Sequence[Branch], alphas: Sequen
 # 2-to-1 merge: supply geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MergeGeometry:
+class MergeGeometry(NamedTuple):
     """Closed-form representation of the merge supply as a function of the flux ratio.
 
     The downstream supply along the mixed attribute w(p) = w2 + p*dw takes the
@@ -296,20 +296,16 @@ def attribute_gap_is_zero(w1: float, w2: float) -> bool:
 
 def merge_geometry(in1: Branch, in2: Branch, out: Branch) -> MergeGeometry:
     """Supply geometry and critical ratios (p_hat, P*, P**) for a 2-to-1 merge."""
-    return _merge_geometry(fd.attribute(*in1), fd.attribute(*in2), out)
+    return _merge_geometry(fd.attribute(*in1), fd.attribute(*in2), out[0], out[1].v)
 
 
-def _merge_geometry(w1: float, w2: float, out: Branch) -> MergeGeometry:
-    """``merge_geometry`` for the incoming attributes ``w1`` and ``w2``."""
-    p3, s3 = out
-    v3 = s3.v
+def _merge_geometry(w1: float, w2: float, p3: RoadParams, v3: float) -> MergeGeometry:
+    """``merge_geometry`` for the incoming attributes ``w1`` and ``w2`` and the outgoing speed ``v3``."""
     dw = w1 - w2
     g3 = p3.gamma
     w_split = (g3 + 1.0) / g3 * v3
-    k_free = (g3 / (g3 + 1.0)) ** ((g3 + 1.0) / g3) * p3.rho_max / p3.v_ref ** (1.0 / g3)
-    free = (k_free, 0.0, (g3 + 1.0) / g3)
-    k_cong = v3 * p3.rho_max * (g3 / p3.v_ref) ** (1.0 / g3)
-    cong = (k_cong, -v3, 1.0 / g3)
+    free, power = p3.supply_constants
+    cong = (v3 * p3.rho_max * power, -v3, 1.0 / g3)
 
     if attribute_gap_is_zero(w1, w2):
         p_hat = p_star = p_star2 = None
@@ -324,10 +320,7 @@ def _merge_geometry(w1: float, w2: float, out: Branch) -> MergeGeometry:
         else:
             p_star2 = (1.0 - g3 * (w2 - v3) / dw) / (g3 + 1.0)
 
-    return MergeGeometry(
-        w1=w1, w2=w2, dw=dw, w_split=w_split,
-        free=free, cong=cong, p_hat=p_hat, p_star=p_star, p_star2=p_star2,
-    )
+    return MergeGeometry(w1, w2, dw, w_split, free, cong, p_hat, p_star, p_star2)
 
 
 def sigma_tilde(geom: MergeGeometry, p: float) -> float:
@@ -458,19 +451,20 @@ def _solve_merge_core(
     return min(q1_star, delta1), min(q2_star, delta2), "H1a"
 
 
-def _oriented(w1: float, w2: float, delta1: float, delta2: float, out: Branch, priority: float):
+def _oriented(w1: float, w2: float, delta1: float, delta2: float, p3: RoadParams, v3: float,
+              priority: float):
     """Whether the merge is mirrored (w1 > w2: roads and priority swapped), and the
     (geometry, demands, priority) that its construction takes."""
     if not attribute_gap_is_zero(w1, w2) and w1 > w2:
-        return True, (_merge_geometry(w2, w1, out), delta2, delta1, 1.0 - priority)
-    return False, (_merge_geometry(w1, w2, out), delta1, delta2, priority)
+        return True, (_merge_geometry(w2, w1, p3, v3), delta2, delta1, 1.0 - priority)
+    return False, (_merge_geometry(w1, w2, p3, v3), delta1, delta2, priority)
 
 
 def priority_split(in1: Branch, in2: Branch, out: Branch, priority: float) -> tuple[float, float]:
     """The fluxes (q1, q2) of the merge solver's first step, mirrored as the solver mirrors the merge."""
     _check_priority(priority)
-    (w1, delta1, _), (w2, delta2, _) = _demand_of(*in1), _demand_of(*in2)
-    mirrored, args = _oriented(w1, w2, delta1, delta2, out, priority)
+    (w1, delta1, _), (w2, delta2, _) = (_demand_of(p, s.rho, s.v) for p, s in (in1, in2))
+    mirrored, args = _oriented(w1, w2, delta1, delta2, out[0], out[1].v, priority)
     q1, q2, _, _ = _priority_split(*args)
     return (q2, q1) if mirrored else (q1, q2)
 
@@ -479,7 +473,8 @@ def stationary_split(in1: Branch, in2: Branch, out: Branch) -> tuple[float, floa
     """The fluxes (q1, q2) = (P*, 1 - P*) Sigma~(P*) of the merge solver's stationary split,
     mirrored as the solver mirrors the merge; None where P* is undefined or outside [0, 1]."""
     # the geometry alone: P* and Sigma~ depend on neither the demands nor the priority
-    mirrored, (geom, *_) = _oriented(fd.attribute(*in1), fd.attribute(*in2), 0.0, 0.0, out, 0.5)
+    mirrored, (geom, *_) = _oriented(fd.attribute(*in1), fd.attribute(*in2), 0.0, 0.0,
+                                     out[0], out[1].v, 0.5)
     p = geom.p_star
     if p is None or not 0.0 <= p <= 1.0:
         return None
@@ -488,11 +483,11 @@ def stationary_split(in1: Branch, in2: Branch, out: Branch) -> tuple[float, floa
     return (q2, q1) if mirrored else (q1, q2)
 
 
-def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
+def _merge(roads: Sequence[RoadParams], rho, v, priority: float):
     """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their sonic points."""
-    w1, delta1, sigma1 = _demand_of(*in1)
-    w2, delta2, sigma2 = _demand_of(*in2)
-    mirrored, args = _oriented(w1, w2, delta1, delta2, out, priority)
+    w1, delta1, sigma1 = _demand_of(roads[0], rho[0], v[0])
+    w2, delta2, sigma2 = _demand_of(roads[1], rho[1], v[1])
+    mirrored, args = _oriented(w1, w2, delta1, delta2, roads[2], v[2], priority)
     q1, q2, case = _solve_merge_core(*args)
     if mirrored:
         q1, q2, case = q2, q1, case + "'"
@@ -501,55 +496,57 @@ def _merge(in1: Branch, in2: Branch, out: Branch, priority: float):
     w_p = w2 + priority * (w1 - w2)
     w_mix = (q1 * w1 + q2 * w2) / q3 if q3 > 0 else w_p
     ratio = q1 / q3 if q3 > 0 else priority
-    fl = JunctionFluxes(
-        q_in=(q1, q2), q_out=(q3,), w_in=(w1, w2), w_out=(w_mix,), ratio=ratio, case=case,
-    )
-    supply3, sigma3 = _supply_for(out[0], out[1].v, w_mix)
+    fl = ((q1, q2), (q3,), (w1, w2), (w_mix,), ratio, case)
+    supply3, sigma3 = _supply_for(roads[2], v[2], w_mix)
     return fl, (delta1, delta2, supply3), (sigma1, sigma2, sigma3)
 
 
 def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> JunctionSolution:
     """Pareto-optimal priority-based Riemann solver for a 2-to-1 merge."""
     _check_priority(priority)
-    fl, bounds, sigmas = _merge(in1, in2, out, priority)
-    return _with_traces(fl, (in1, in2), (out,), bounds, sigmas)
+    roads, states = zip(in1, in2, out)
+    fl, bounds, sigmas = _merge(roads, [s.rho for s in states], [s.v for s in states], priority)
+    return _with_traces(fl, roads, states, bounds, sigmas)
 
 
 # ---------------------------------------------------------------------------
 # Generic entry points
 # ---------------------------------------------------------------------------
 
-def _branches(spec: JunctionSpec, states: Sequence[TrafficState]):
-    n, m = len(spec.incoming), len(spec.outgoing)
-    if len(states) != n + m:
-        raise ValueError(f"expected {n + m} states, got {len(states)}")
-    return list(zip(spec.incoming, states[:n])), list(zip(spec.outgoing, states[n:]))
-
-
-def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionFluxes:
-    """Fluxes and mixed attributes of ``solve`` without the boundary traces.
-
-    Each branch flux is checked against the kernel's capacity along its attribute,
-    as the trace reconstruction of ``solve`` checks it; raises InfeasibleFlux.
-    """
-    inc, out = _branches(spec, states)
+def fluxes(spec: JunctionSpec, rho: Sequence[float], v: Sequence[float]) -> tuple:
+    """``junction_fluxes`` on one unchecked density and speed per branch (incoming first), as
+    floats; returns the fields of JunctionFluxes as a tuple. Each branch flux is checked against
+    the kernel's capacity along its attribute, as the traces of ``solve`` check it."""
+    roads = spec.incoming + spec.outgoing
     if spec.kind is JunctionKind.MERGE:
-        fl, _, sigmas = _merge(inc[0], inc[1], out[0], spec.priority)
+        fl, _, sigmas = _merge(roads, rho, v, spec.priority)
     else:  # a 1-to-1 junction is the diverge with alphas (1.0,)
-        fl, _, sigmas = _single_inflow(inc[0], out, spec.alphas or (1.0,))
-    for p, q, w, sigma in zip(spec.incoming + spec.outgoing, fl.q_in + fl.q_out,
-                              fl.w_in + fl.w_out, sigmas):
+        fl, _, sigmas = _single_inflow(roads, rho, v, spec.alphas or (1.0,))
+    for p, q, w, sigma in zip(roads, fl[0] + fl[1], fl[2] + fl[3], sigmas):
         _check_capacity(q, fd._capacity(p, w, sigma), w)
     return fl
 
 
+def _unpacked(spec: JunctionSpec, states: Sequence[TrafficState]):
+    roads = spec.incoming + spec.outgoing
+    if len(states) != len(roads):
+        raise ValueError(f"expected {len(roads)} states, got {len(states)}")
+    return roads, [s.rho for s in states], [s.v for s in states]
+
+
+def junction_fluxes(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionFluxes:
+    """Fluxes and mixed attributes of ``solve`` without the boundary traces (``fluxes``)."""
+    _, rho, v = _unpacked(spec, states)
+    return JunctionFluxes(*fluxes(spec, rho, v))
+
+
 def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolution:
     """Apply the Riemann solver of ``spec`` to one state per branch (incoming first)."""
-    inc, out = _branches(spec, states)
+    roads, rho, v = _unpacked(spec, states)
     if spec.kind is JunctionKind.MERGE:
-        return solve_merge(inc[0], inc[1], out[0], spec.priority)
-    fl, bounds, sigmas = _single_inflow(inc[0], out, spec.alphas or (1.0,))
-    return _with_traces(fl, inc, out, bounds, sigmas)
+        return solve_merge(*zip(roads, states), spec.priority)
+    fl, bounds, sigmas = _single_inflow(roads, rho, v, spec.alphas or (1.0,))
+    return _with_traces(fl, roads, states, bounds, sigmas)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -186,8 +187,9 @@ def end_labels(ends) -> list[str]:
 # no caller in the package: kept by name for the benchmark's tracer, which wraps it
 def interface_flux(left: jn.Branch, right: jn.Branch) -> tuple[float, float]:
     """Godunov flux between two states, the 1-to-1 junction's: (mass flux, momentum flux)."""
-    fl = jn._single_inflow(left, (right,), (1.0,))[0]
-    return fl.q_in[0], fl.q_in[0] * fl.w_in[0]
+    (pl, sl), (pr, sr) = left, right
+    (q,), _, (w,), *_ = jn._single_inflow((pl, pr), (sl.rho, sr.rho), (sl.v, sr.v), (1.0,))[0]
+    return q, q * w
 
 
 @dataclass
@@ -202,11 +204,6 @@ class RoadRows:
     rho: np.ndarray         # (B, n)
     y: np.ndarray           # (B, n)
     ghosts: np.ndarray      # (B, 4)
-
-    def end_state(self, row: int, idx: int) -> TrafficState:
-        """The state of member ``row``'s end cell at edge index ``idx``: 0 the left end, -1 the right."""
-        return fd.from_conservative(self.road.params, float(self.rho[row, idx]),
-                                    float(self.y[row, idx]))
 
 
 def _ghost_columns(road: DiscretizedRoad) -> tuple[float, float, float, float]:
@@ -289,6 +286,16 @@ def _cells(rows: RoadRows) -> _Cells:
     return _Cells(p, w, v, speed)
 
 
+def _checked_cells(batch: Batch) -> dict[str, _Cells]:
+    """``_cells`` of each road; a non-finite state raises a SolverFailure that carries the member's ``row``."""
+    cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
+    for rid, c in cells.items():
+        bad = ~np.isfinite(c.speed)
+        if bad.any():
+            raise _in_row(SolverFailure(f"non-finite state on road {rid}"), int(np.argmax(bad)))
+    return cells
+
+
 def stable_dt(batch: Batch, cfl: float, cells: dict[str, _Cells]) -> np.ndarray:
     """CFL time step of each member over all roads, from this step's ``_cells`` per road."""
     dt = math.inf
@@ -305,24 +312,28 @@ def _in_row(exc: Exception, row: int) -> Exception:
 def _junction_edges(batch: Batch, members: int) -> np.ndarray:
     """(mass flux, momentum flux, w) of each member at each junction road end: shape
     (members, ends, 3), the ends in ``Network.junction_ends`` order. A junction's
-    SolverFailure carries the member's ``row``."""
-    jfs = []
+    SolverFailure carries the member's ``row``. The end cells, which ``_checked_cells`` has
+    found finite, go to the solver as ``fd.from_conservative``'s (rho, v) in plain floats."""
+    states = []  # per junction, each member's densities and speeds at its ends: a tuple of each
+    for nj in batch.net.junctions:
+        ends = [(batch.roads[rid], idx) for rid, idx in nj.ends]
+        cols = [map(partial(fd._primitive, r.road.params), r.rho[:, idx].tolist(),
+                    r.y[:, idx].tolist()) for r, idx in ends]
+        states.append([tuple(zip(*member)) for member in zip(*cols)])
+    jfs = []  # member-major: one (mass flux, momentum flux, w) per end
     for row in range(members):
-        ends = []
-        for nj in batch.net.junctions:
-            states = [batch.roads[rid].end_state(row, idx) for rid, idx in nj.ends]
+        for nj, js in zip(batch.net.junctions, states):
             try:
-                fl = jn.junction_fluxes(nj.spec, states)
+                q_in, q_out, w_in, w_out, _, _ = jn.fluxes(nj.spec, *js[row])
             except SolverFailure as exc:
                 raise _in_row(exc, row)
-            mom_in = [q * wv for q, wv in zip(fl.q_in, fl.w_in)]
-            ends += zip(fl.q_in, mom_in, fl.w_in)
+            mom_in = [q * wv for q, wv in zip(q_in, w_in)]
+            jfs += zip(q_in, mom_in, w_in)
             if len(nj.out_ids) == 1:
                 # hand the outgoing road the exact incoming totals
-                ends.append((math.fsum(fl.q_in), math.fsum(mom_in), fl.w_out[0]))
+                jfs.append((math.fsum(q_in), math.fsum(mom_in), w_out[0]))
             else:
-                ends += [(q, q * wv, wv) for q, wv in zip(fl.q_out, fl.w_out)]
-        jfs.append(ends)
+                jfs += [(q, q * wv, wv) for q, wv in zip(q_out, w_out)]
     return np.array(jfs, dtype=float).reshape(members, len(batch.net.junction_ends), 3)
 
 
@@ -335,11 +346,7 @@ def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
     the edge fluxes (mass, momentum) per road, one row per member. A
     non-finite state and a junction's SolverFailure carry the member's ``row``.
     """
-    cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
-    for rid, c in cells.items():
-        bad = ~np.isfinite(c.speed)
-        if bad.any():
-            raise _in_row(SolverFailure(f"non-finite state on road {rid}"), int(np.argmax(bad)))
+    cells = _checked_cells(batch)
     # cfl <= 1 (SimConfig) keeps dt within dx / speed on every road
     dt = np.minimum(stable_dt(batch, cfg.cfl, cells), t_left)
 
@@ -400,6 +407,7 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     mass0 = [math.fsum(r.total_mass() for r in net.roads.values()) for net in networks]
     momentum0 = [math.fsum(r.total_momentum() for r in net.roads.values()) for net in networks]
     try:
+        _checked_cells(batch)  # the junction pass takes the end cells unchecked
         jfs = _junction_edges(batch, len(networks))
     except SolverFailure as exc:
         raise _at(exc, exc.row, 0, 0.0)
@@ -489,16 +497,21 @@ def write_flux_csv(result: SimResult, path) -> None:
 
 
 def write_profile_csv(result: SimResult, path) -> None:
-    """Final density/speed profiles as `branch_id,cell,rho,v` rows."""
+    """Final density/speed profiles as `branch_id,cell,rho,v` rows, as ``csv.writer`` writes them."""
     import csv
+    import io
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["branch_id", "cell", "rho", "v"])
         for rid, rho in result.final_rho.items():
             v = result.final_v[rid]
+            # the road id as csv.writer quotes it (less ",\r\n"); cells and float reprs need no quotes
+            buf = io.StringIO()
+            csv.writer(buf).writerow([rid, ""])
+            head = buf.getvalue()[:-3]
             # a bounded number of rows as Python floats at a time keeps the peak memory flat
             for lo in range(0, len(rho), _CSV_ROWS):
                 hi = lo + _CSV_ROWS
-                writer.writerows(zip(itertools.repeat(rid), range(lo, hi),
-                                     map(repr, rho[lo:hi].tolist()), map(repr, v[lo:hi].tolist())))
+                fh.write("".join([f"{head},{i},{r!r},{s!r}\r\n" for i, r, s in
+                                  zip(range(lo, hi), rho[lo:hi].tolist(), v[lo:hi].tolist())]))

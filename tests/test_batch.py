@@ -203,15 +203,15 @@ class TestFailuresNameTheirMember:
         nets[1].roads["r2"].rho[:], nets[1].roads["r2"].y[:] = rho, y
         steps = [sim.run(copy.deepcopy(net), cfg).steps for net in nets]
         assert steps[0] < steps[1]
-        junction_fluxes, calls = jn.junction_fluxes, []
+        fluxes, calls = jn.fluxes, []
 
-        def fail_once_member_0_left(spec, states):
+        def fail_once_member_0_left(spec, rho, v):
             calls.append(1)
             # two initial solves, then two per step until member 0 leaves
             if len(calls) == 2 + 2 * steps[0] + 1:
                 raise SolverFailure("forced failure")
-            return junction_fluxes(spec, states)
-        monkeypatch.setattr(jn, "junction_fluxes", fail_once_member_0_left)
+            return fluxes(spec, rho, v)
+        monkeypatch.setattr(jn, "fluxes", fail_once_member_0_left)
         with pytest.raises(SolverFailure, match=rf"^forced failure at step {steps[0]}, "
                                                 rf"t=0\.\d+ \(member 1\)$") as info:
             sim.run_batch(nets, cfg)
@@ -219,8 +219,19 @@ class TestFailuresNameTheirMember:
 
     def test_non_finite_state_names_member_step_and_t(self):
         nets = [ramp_network(1000.0), ramp_network(2000.0)]
-        # an interior cell: a non-finite end cell fails earlier, in TrafficState
+        # an interior cell; an end cell fails the same check, before the t = 0 junction pass
         nets[1].roads["r2"].y[5] = math.nan
+        with pytest.raises(SolverFailure, match=r"^non-finite state on road r2 at step 0, "
+                                                r"t=0\.0 \(member 1\)$") as info:
+            sim.run_batch(nets, sim.SimConfig())
+        assert info.value.member == 1
+
+    @pytest.mark.parametrize("column, value", [("y", math.nan), ("rho", math.inf)])
+    def test_non_finite_end_cell_names_member_step_and_t(self, column, value):
+        """The junction pass takes its end cells as plain floats: the t = 0 pass runs
+        after the same non-finite check as each step."""
+        nets = [ramp_network(1000.0), ramp_network(2000.0)]
+        getattr(nets[1].roads["r2"], column)[-1] = value
         with pytest.raises(SolverFailure, match=r"^non-finite state on road r2 at step 0, "
                                                 r"t=0\.0 \(member 1\)$") as info:
             sim.run_batch(nets, sim.SimConfig())
@@ -233,13 +244,13 @@ class TestFailuresNameTheirMember:
         road2 = MERGE_DOC["roads"][1]
         rho2 = fd.equilibrium_density(RoadParams(road2["rho_max"], road2["v_ref"],
                                                  road2["gamma"]), 2000.0)
-        junction_fluxes = jn.junction_fluxes
+        fluxes = jn.fluxes
         for failure in (SolverFailure, jn.InfeasibleFlux):
-            def fail_on_point_2000(spec, states):
-                if states[1].rho == rho2:  # road 2's end cell while it holds its initial state
+            def fail_on_point_2000(spec, rho, v):
+                if rho[1] == rho2:  # road 2's end cell while it holds its initial state
                     raise failure("forced failure")
-                return junction_fluxes(spec, states)
-            monkeypatch.setattr(jn, "junction_fluxes", fail_on_point_2000)
+                return fluxes(spec, rho, v)
+            monkeypatch.setattr(jn, "fluxes", fail_on_point_2000)
             code = cli.main(["capacity-drop", "--scenario", str(path),
                              "--sweep", "1000,2000,3000"])
             assert code == cli.EXIT_NUMERIC, failure

@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 
 import numpy as np
@@ -180,6 +181,15 @@ class TestMergeNetwork:
         for k, end in enumerate([("r1", -1), ("r2", -1), ("r3", 0)]):
             assert res.flux_series[end][0].tolist() == [jf[k, 0], jf[k, 2]], end
 
+    def test_time_loop_builds_no_traffic_state(self, monkeypatch):
+        """The junction pass takes its end cells as plain floats: states are validated
+        at the API edge, not per member, end and step."""
+        nets = [ramp_network(1000.0), ramp_network(2000.0)]
+        built, post_init = [], TrafficState.__post_init__
+        monkeypatch.setattr(TrafficState, "__post_init__", lambda s: built.append(s) or post_init(s))
+        results = sim.run_batch(nets, sim.SimConfig(t_end=0.002, steady_tol=0.0))
+        assert min(r.steps for r in results) > 0 and len(built) == 0
+
     def test_network_mass_ledger(self):
         net = ramp_network(2500.0)
         res = sim.run(net, sim.SimConfig(t_end=0.1))
@@ -253,3 +263,22 @@ class TestCsvOutput:
         lines = ppath.read_text().splitlines()
         assert lines[0] == "branch_id,cell,rho,v"
         assert len(lines) == 1 + 3 * 20
+
+    def test_profile_file_is_csv_writers(self, tmp_path):
+        """The profile writer gives the bytes of ``csv.writer``: quoted road ids, repr floats,
+        \\r\\n line ends, across a block boundary (road "a" has more than 4096 cells)."""
+        values = [0.0, 5e-324, 1e-300, 1e-5, 0.1, 1e16]
+        ids = ["a", "a,b", 'q"x', "", " sp ", "é", "x\ny", "r\r"]
+        final_rho = {rid: np.resize(values, 4101 if rid == "a" else 7 + k)
+                     for k, rid in enumerate(ids)}
+        final_v = {rid: rho[::-1].copy() for rid, rho in final_rho.items()}
+        res = sim.SimResult(np.zeros(1), {}, final_rho, final_v, sim.MassLedger(), 0, False)
+        path, ref = tmp_path / "profiles.csv", tmp_path / "reference.csv"
+        sim.write_profile_csv(res, path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["branch_id", "cell", "rho", "v"])
+            for rid in ids:
+                writer.writerows([rid, i, repr(r), repr(v)] for i, (r, v) in
+                                 enumerate(zip(final_rho[rid].tolist(), final_v[rid].tolist())))
+        assert path.read_bytes() == ref.read_bytes()
