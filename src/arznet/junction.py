@@ -193,10 +193,31 @@ def reconstruct_boundary_state(
         raise ValueError(f"side must be 'incoming' or 'outgoing', got {side!r}")
     cap = fd._capacity(p, w, sigma)
     _check_capacity(q, cap, w)
+    rho_tiny = 1e-12 * max(1.0, p.rho_max)
+
+    if side == "incoming":
+        if bound_active:
+            rho = ref_state.rho if ref_state.rho <= sigma + rho_tiny else sigma
+        else:
+            rho = _trace_density(p, w, q, sigma, cap, congested=True)
+    else:
+        rho_t = modified_density(p, w, ref_state.v)
+        if bound_active:
+            rho = rho_t if rho_t > sigma else sigma
+        else:
+            rho = _trace_density(p, w, q, sigma, cap, congested=False)
+
+    v = max(w - fd._pressure(p, rho), 0.0)
+    return TrafficState(rho=rho, v=v)
+
+
+def _trace_density(p: RoadParams, w: float, q: float, sigma: float, cap: float,
+                   congested: bool) -> float:
+    """The congested or the free-flow root of rho * (w - p(rho)) = min(q, cap), split at
+    the sonic point ``sigma`` along w, where the flux reaches the capacity ``cap``."""
     # resolve the trace density well below the flux tolerances used downstream
     tol = 1e-13 * max(1.0, cap)
     q = min(q, cap)
-    rho_tiny = 1e-12 * max(1.0, p.rho_max)
 
     def fdf(rho):
         # the flux is concave on {w = const}; its slope w - (1 + gamma) p(rho)
@@ -204,25 +225,27 @@ def reconstruct_boundary_state(
         p_rho = fd._pressure(p, rho)
         return rho * (w - p_rho) - q, w - (1.0 + p.gamma) * p_rho
 
-    if side == "incoming":
-        if bound_active:
-            rho = ref_state.rho if ref_state.rho <= sigma + rho_tiny else sigma
-        else:
-            # congested root: flux decreases from capacity at sigma to 0 at p^-1(w),
-            # where the iteration starts
-            rho_jam = max(fd._pressure_inv(p, w), sigma)
-            rho = newton(fdf, rho_jam, sigma, rho_jam, tol)
-    else:
-        rho_t = modified_density(p, w, ref_state.v)
-        if bound_active:
-            rho = rho_t if rho_t > sigma else sigma
-        else:
-            # free-flow root: flux increases from 0 at vacuum, where the iteration
-            # starts, to capacity at sigma
-            rho = newton(fdf, 0.0, 0.0, sigma, tol)
+    if congested:
+        # flux decreases from capacity at sigma to 0 at p^-1(w), where the iteration starts
+        rho_jam = max(fd._pressure_inv(p, w), sigma)
+        return newton(fdf, rho_jam, sigma, rho_jam, tol)
+    # flux increases from 0 at vacuum, where the iteration starts, to capacity at sigma
+    return newton(fdf, 0.0, 0.0, sigma, tol)
 
-    v = max(w - fd._pressure(p, rho), 0.0)
-    return TrafficState(rho=rho, v=v)
+
+def shock_speed(p: RoadParams, w: float, q: float, rho: float, f: float) -> float:
+    """|Speed| of the first-family shock a junction flux ``q`` sends into an incoming road.
+
+    The road's end state is the density ``rho`` with flux ``f > q`` on {w = const};
+    the shock joins it to the congested trace of flux ``q``. The Rankine-Hugoniot
+    speed is capped at |lambda_1| of the trace, its Lax bound, which also holds
+    where the two densities are too close to divide by.
+    """
+    sigma = fd._sonic_point(p, w)
+    rho_t = _trace_density(p, w, q, sigma, fd._capacity(p, w, sigma), congested=True)
+    lax = (1.0 + p.gamma) * fd._pressure(p, rho_t) - w
+    gap = rho_t - rho
+    return min(lax, (f - q) / gap) if gap > 0.0 else lax
 
 
 def _with_traces(

@@ -309,22 +309,29 @@ def _in_row(exc: Exception, row: int) -> Exception:
     return exc
 
 
-def _junction_edges(batch: Batch, members: int) -> np.ndarray:
+def _junction_edges(batch: Batch, dt: np.ndarray, cfl: float) -> tuple[np.ndarray, np.ndarray]:
     """(mass flux, momentum flux, w) of each member at each junction road end: shape
-    (members, ends, 3), the ends in ``Network.junction_ends`` order. A junction's
-    SolverFailure carries the member's ``row``. The end cells, which ``_checked_cells`` has
-    found finite, go to the solver as ``fd.from_conservative``'s (rho, v) in plain floats."""
+    (members, ends, 3), the ends in ``Network.junction_ends`` order; and each member's
+    ``dt``, cut by ``_shock_dt`` (a dt of 0, as for the initial data's fluxes, is never
+    cut). A junction's SolverFailure carries the member's ``row``. The end cells, which
+    ``_checked_cells`` has found finite, go to the solver as ``fd.from_conservative``'s
+    (rho, v) in plain floats."""
     states = []  # per junction, each member's densities and speeds at its ends: a tuple of each
+    reach = []   # per junction, each incoming road's parameters and cfl * dx
     for nj in batch.net.junctions:
         ends = [(batch.roads[rid], idx) for rid, idx in nj.ends]
         cols = [map(partial(fd._primitive, r.road.params), r.rho[:, idx].tolist(),
                     r.y[:, idx].tolist()) for r, idx in ends]
         states.append([tuple(zip(*member)) for member in zip(*cols)])
+        reach.append([(r.road.params, cfl * r.road.dx) for r, _ in ends[:len(nj.in_ids)]])
+    dts = dt.tolist()
     jfs = []  # member-major: one (mass flux, momentum flux, w) per end
-    for row in range(members):
-        for nj, js in zip(batch.net.junctions, states):
+    for row in range(len(dts)):
+        for nj, js, ends in zip(batch.net.junctions, states, reach):
+            rho, v = js[row]
             try:
-                q_in, q_out, w_in, w_out, _, _ = jn.fluxes(nj.spec, *js[row])
+                q_in, q_out, w_in, w_out, _, _ = jn.fluxes(nj.spec, rho, v)
+                dts[row] = _shock_dt(ends, rho, v, q_in, w_in, dts[row])
             except SolverFailure as exc:
                 raise _in_row(exc, row)
             mom_in = [q * wv for q, wv in zip(q_in, w_in)]
@@ -334,12 +341,37 @@ def _junction_edges(batch: Batch, members: int) -> np.ndarray:
                 jfs.append((math.fsum(q_in), math.fsum(mom_in), w_out[0]))
             else:
                 jfs += [(q, q * wv, wv) for q, wv in zip(q_out, w_out)]
-    return np.array(jfs, dtype=float).reshape(members, len(batch.net.junction_ends), 3)
+    edges = np.array(jfs, dtype=float).reshape(len(dts), len(batch.net.junction_ends), 3)
+    return edges, np.array(dts)
+
+
+def _shock_dt(ends, rho, v, q, w, dt: float) -> float:
+    """``dt``, cut where the shock that a junction sends into one of its incoming roads
+    would cross more than cfl of the road's end cell. Per incoming road (``zip`` stops
+    there): its parameters and cfl * dx, its end cell's rho and v, its flux and attribute.
+
+    The flux is concave on {w = const} and 0 at vacuum and at the zero-speed density
+    p^-1(w). So a shock into an outgoing road is no faster than the speed v of the state
+    ahead of it, and a rarefaction no faster than the end cells' own waves, which
+    ``stable_dt`` bounds. A shock into an incoming road can be faster.
+    """
+    for (p, reach), rho_k, v_k, q_k, w_k in zip(ends, rho, v, q, w):
+        f = rho_k * v_k
+        # cheap bounds first: the shock is slower than |lambda_1| <= gamma w at its trace,
+        # and than the chord from the end state to the zero-speed density
+        if (q_k >= f or p.gamma * w_k * dt <= reach
+                or f * dt <= reach * (fd._pressure_inv(p, w_k) - rho_k)):
+            continue
+        s = jn.shock_speed(p, w_k, q_k, rho_k, f)
+        if s * dt > reach:
+            dt = reach / s
+    return dt
 
 
 def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
     """Advance every member by one whole step: member b by its CFL time step, or by
-    ``t_left[b]`` when that is shorter.
+    ``t_left[b]`` when that is shorter, cut further where a junction sends a shock into
+    one of its incoming roads that is faster than the road's cells' waves.
 
     Returns each member's dt; the (mass flux, momentum flux, w) of each
     member at each junction road end, as ``_junction_edges`` gives them; and
@@ -362,8 +394,8 @@ def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
         fm = np.minimum(de, su, out=de)
         edge[rid] = (fm, c.w * fm)
 
-    # the junction solves: a scalar loop over the members
-    junction_edges = _junction_edges(batch, len(dt))
+    # the junction solves: a scalar loop over the members, which may cut dt
+    junction_edges, dt = _junction_edges(batch, dt, cfg.cfl)
     for k, (rid, idx) in enumerate(batch.net.junction_ends):
         fm, fy = edge[rid]
         fm[:, idx], fy[:, idx] = junction_edges[:, k, 0], junction_edges[:, k, 1]
@@ -408,7 +440,7 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     momentum0 = [math.fsum(r.total_momentum() for r in net.roads.values()) for net in networks]
     try:
         _checked_cells(batch)  # the junction pass takes the end cells unchecked
-        jfs = _junction_edges(batch, len(networks))
+        jfs, _ = _junction_edges(batch, np.zeros(len(networks)), cfg.cfl)
     except SolverFailure as exc:
         raise _at(exc, exc.row, 0, 0.0)
     # per member, (t, the junction fluxes that advanced it to t); at t = 0 the initial data's.

@@ -13,7 +13,7 @@ import numpy as np
 from arznet import fundamental as fd
 from arznet import junction as jn
 from arznet import sim
-from arznet.fundamental import TrafficState
+from arznet.fundamental import RoadParams, TrafficState
 from arznet.junction import JunctionKind, JunctionSpec
 from shared_strategies import hypothesis, params, priorities, st
 
@@ -48,8 +48,21 @@ def matched_junctions(draw):
     return spec, ids[:n], ids[n:], states
 
 
+# a merge that holds back a dense incoming road (r1, above rho_max): the shock it sends
+# into r1 is faster than any cell's waves, so the step must bound its speed
+HELD_BACK = (
+    JunctionSpec(JunctionKind.MERGE,
+                 (RoadParams(20.0, 40.0, 0.5), RoadParams(20.0, 40.0, 3.0)),
+                 (RoadParams(20.0, 40.0, 0.5),), None, 0.03125),
+    ["r0", "r1"], ["r2"],
+    [TrafficState(10.0, 10.0), TrafficState(25.167475833575352, 40.0),
+     TrafficState(2.2058982822017876, 40.0)],
+)
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(matched_junctions())
+@hypothesis.example(HELD_BACK)
 def test_no_contact_keeps_the_solver_flux(case):
     spec, in_ids, out_ids, states = case
     want = jn.junction_fluxes(spec, states)
@@ -67,3 +80,24 @@ def test_no_contact_keeps_the_solver_flux(case):
     for end, q in zip(ends, want.q_in + want.q_out):
         np.testing.assert_allclose(res.flux_series[end][:, 0], q, rtol=1e-12, atol=0.0,
                                    err_msg=str(end))
+
+
+def test_the_step_bounds_the_shock_into_a_held_back_road():
+    spec, in_ids, out_ids, states = HELD_BACK
+    sol = jn.solve(spec, states)
+    s0, trace = states[1], sol.boundary_in[1]
+    # Rankine-Hugoniot speed between r1's state and the solver's trace on it
+    speed = abs((sol.q_in[1] - s0.rho * s0.v) / (trace.rho - s0.rho))
+    roads = {rid: sim.road_from_state(rid, p, LENGTH, CELLS, s)
+             for rid, p, s in zip(in_ids + out_ids, spec.incoming + spec.outgoing, states)}
+    net = sim.Network(roads, [sim.NetworkJunction(spec, tuple(in_ids), tuple(out_ids))])
+    cfg = sim.SimConfig()
+    dt, _, _ = sim.step(sim.batch_of([net]), cfg, np.array([1.0]))
+
+    dx = LENGTH / CELLS
+    # the cells' bound: uniform roads, the fastest of |lambda_1|, v and v_ref
+    cells_dt = cfg.cfl * dx / max(max(abs(fd.lambda1(p, s.rho, fd.attribute(p, s))), s.v, p.v_ref)
+                                  for p, s in zip(spec.incoming + spec.outgoing, states))
+    assert speed * cells_dt > cfg.cfl * dx  # the cells' bound alone lets the shock overrun
+    assert dt[0] < cells_dt
+    np.testing.assert_allclose(dt[0], cfg.cfl * dx / speed, rtol=1e-9)
