@@ -10,10 +10,10 @@ two-step construction (priority-enforced split, then projection onto the Pareto
 front of the admissible flux set by clamped fixed points, each a bracketed
 scalar root).  Both kernels take a float density and speed per branch and return
 the fields of ``JunctionFluxes`` as a tuple, with one bound (a demand or a supply)
-and one sonic point per branch, incoming first, each computed once: ``fluxes``
-checks each flux against the capacity at that point, and each trace of ``solve``
-takes it to split its curve.  All entry points call the merge kernel for a merge
-and the single-inflow kernel otherwise.
+and one sonic point and capacity per branch, incoming first, each computed once:
+``fluxes`` checks each flux against that capacity, and each trace of ``solve``
+takes the sonic point to split its curve.  All entry points call the merge kernel
+for a merge and the single-inflow kernel otherwise.
 """
 
 from __future__ import annotations
@@ -65,17 +65,21 @@ def modified_density(out_road: RoadParams, w_in: float, v_out):
 
 
 def _demand_of(p: RoadParams, rho: float, v: float):
-    """Attribute w = v + p(rho) of an incoming road's state, its demand and the sonic point along w."""
+    """Attribute w = v + p(rho) of an incoming road's state, its demand, and the sonic point
+    and the capacity along w."""
     p_rho = fd._pressure(p, rho)
     w = v + p_rho
     sigma = fd._sonic_point(p, w)
-    return w, fd._demand(rho, p_rho, w, sigma, fd._capacity(p, w, sigma)), sigma
+    cap = fd._capacity(p, w, sigma)
+    return w, fd._demand(rho, p_rho, w, sigma, cap), sigma, cap
 
 
 def _supply_for(p: RoadParams, v, w):
-    """Supply of an outgoing road at speed ``v`` for the attribute ``w``, and the sonic point along w."""
+    """Supply of an outgoing road at speed ``v`` for the attribute ``w``, and the sonic point
+    and the capacity along w."""
     sigma = fd._sonic_point(p, w)
-    return fd._supply(p, modified_density(p, w, v), w, sigma, fd._capacity(p, w, sigma)), sigma
+    cap = fd._capacity(p, w, sigma)
+    return fd._supply(p, modified_density(p, w, v), w, sigma, cap), sigma, cap
 
 
 def demand_supply(p: RoadParams, rho, p_rho, w, v):
@@ -253,16 +257,17 @@ def _with_traces(
     roads: Sequence[RoadParams],
     states: Sequence[TrafficState],
     bounds: Sequence[float],
-    sigmas: Sequence[float],
+    curves: Sequence[tuple[float, float]],
 ) -> JunctionSolution:
-    """Add the boundary traces to a kernel's fluxes ``fl``; a bound is active where the flux meets it."""
+    """Add the boundary traces to a kernel's fluxes ``fl``; a bound is active where the flux
+    meets it. ``curves`` holds the kernel's (sonic point, capacity) per branch."""
     tol = flux_tol(max(bounds))
     n = len(fl[0])
     traces = tuple(
         reconstruct_boundary_state(p, w, q, "incoming" if i < n else "outgoing", s,
                                    abs(q - bound) <= tol, sigma)
-        for i, (p, s, q, w, bound, sigma) in enumerate(zip(
-            roads, states, fl[0] + fl[1], fl[2] + fl[3], bounds, sigmas))
+        for i, (p, s, q, w, bound, (sigma, _)) in enumerate(zip(
+            roads, states, fl[0] + fl[1], fl[2] + fl[3], bounds, curves))
     )
     return JunctionSolution(*fl, boundary_in=traces[:n], boundary_out=traces[n:])
 
@@ -272,18 +277,19 @@ def _with_traces(
 # ---------------------------------------------------------------------------
 
 def _single_inflow(roads: Sequence[RoadParams], rho, v, alphas: Sequence[float]):
-    """1-to-m fluxes, with the demand and the supplies as bounds and their sonic points.
+    """1-to-m fluxes, with the demand and the supplies as bounds, and the (sonic point,
+    capacity) along each branch's attribute.
 
     A 1-to-1 junction is the case m = 1 with alpha = 1, for which the
     division, the products and the one-term sum below are exact.
     """
-    w1, d1, sigma1 = _demand_of(roads[0], rho[0], v[0])
-    supplies, sigmas = zip(*[_supply_for(pj, vj, w1) for pj, vj in zip(roads[1:], v[1:])])
+    w1, d1, sigma1, cap1 = _demand_of(roads[0], rho[0], v[0])
+    supplies, sigmas, caps = zip(*[_supply_for(pj, vj, w1) for pj, vj in zip(roads[1:], v[1:])])
     q1 = min(d1, *(sup / a for sup, a in zip(supplies, alphas)))
     q_out = tuple(a * q1 for a in alphas)
     q1 = math.fsum(q_out)  # same additions on both sides: mass balance is exact
     fl = ((q1,), q_out, (w1,), (w1,) * len(q_out), None, None)
-    return fl, (d1, *supplies), (sigma1, *sigmas)
+    return fl, (d1, *supplies), ((sigma1, cap1), *zip(sigmas, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +492,7 @@ def _oriented(w1: float, w2: float, delta1: float, delta2: float, p3: RoadParams
 def priority_split(in1: Branch, in2: Branch, out: Branch, priority: float) -> tuple[float, float]:
     """The fluxes (q1, q2) of the merge solver's first step, mirrored as the solver mirrors the merge."""
     _check_priority(priority)
-    (w1, delta1, _), (w2, delta2, _) = (_demand_of(p, s.rho, s.v) for p, s in (in1, in2))
+    (w1, delta1, *_), (w2, delta2, *_) = (_demand_of(p, s.rho, s.v) for p, s in (in1, in2))
     mirrored, args = _oriented(w1, w2, delta1, delta2, out[0], out[1].v, priority)
     q1, q2, _, _ = _priority_split(*args)
     return (q2, q1) if mirrored else (q1, q2)
@@ -507,9 +513,10 @@ def stationary_split(in1: Branch, in2: Branch, out: Branch) -> tuple[float, floa
 
 
 def _merge(roads: Sequence[RoadParams], rho, v, priority: float):
-    """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and their sonic points."""
-    w1, delta1, sigma1 = _demand_of(roads[0], rho[0], v[0])
-    w2, delta2, sigma2 = _demand_of(roads[1], rho[1], v[1])
+    """Merge fluxes, with the demands and the mixed-attribute supply as bounds, and the
+    (sonic point, capacity) along each branch's attribute."""
+    w1, delta1, sigma1, cap1 = _demand_of(roads[0], rho[0], v[0])
+    w2, delta2, sigma2, cap2 = _demand_of(roads[1], rho[1], v[1])
     mirrored, args = _oriented(w1, w2, delta1, delta2, roads[2], v[2], priority)
     q1, q2, case = _solve_merge_core(*args)
     if mirrored:
@@ -520,16 +527,16 @@ def _merge(roads: Sequence[RoadParams], rho, v, priority: float):
     w_mix = (q1 * w1 + q2 * w2) / q3 if q3 > 0 else w_p
     ratio = q1 / q3 if q3 > 0 else priority
     fl = ((q1, q2), (q3,), (w1, w2), (w_mix,), ratio, case)
-    supply3, sigma3 = _supply_for(roads[2], v[2], w_mix)
-    return fl, (delta1, delta2, supply3), (sigma1, sigma2, sigma3)
+    supply3, sigma3, cap3 = _supply_for(roads[2], v[2], w_mix)
+    return fl, (delta1, delta2, supply3), ((sigma1, cap1), (sigma2, cap2), (sigma3, cap3))
 
 
 def solve_merge(in1: Branch, in2: Branch, out: Branch, priority: float) -> JunctionSolution:
     """Pareto-optimal priority-based Riemann solver for a 2-to-1 merge."""
     _check_priority(priority)
     roads, states = zip(in1, in2, out)
-    fl, bounds, sigmas = _merge(roads, [s.rho for s in states], [s.v for s in states], priority)
-    return _with_traces(fl, roads, states, bounds, sigmas)
+    fl, bounds, curves = _merge(roads, [s.rho for s in states], [s.v for s in states], priority)
+    return _with_traces(fl, roads, states, bounds, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +549,11 @@ def fluxes(spec: JunctionSpec, rho: Sequence[float], v: Sequence[float]) -> tupl
     the kernel's capacity along its attribute, as the traces of ``solve`` check it."""
     roads = spec.incoming + spec.outgoing
     if spec.kind is JunctionKind.MERGE:
-        fl, _, sigmas = _merge(roads, rho, v, spec.priority)
+        fl, _, curves = _merge(roads, rho, v, spec.priority)
     else:  # a 1-to-1 junction is the diverge with alphas (1.0,)
-        fl, _, sigmas = _single_inflow(roads, rho, v, spec.alphas or (1.0,))
-    for p, q, w, sigma in zip(roads, fl[0] + fl[1], fl[2] + fl[3], sigmas):
-        _check_capacity(q, fd._capacity(p, w, sigma), w)
+        fl, _, curves = _single_inflow(roads, rho, v, spec.alphas or (1.0,))
+    for q, w, (_, cap) in zip(fl[0] + fl[1], fl[2] + fl[3], curves):
+        _check_capacity(q, cap, w)
     return fl
 
 
@@ -568,8 +575,8 @@ def solve(spec: JunctionSpec, states: Sequence[TrafficState]) -> JunctionSolutio
     roads, rho, v = _unpacked(spec, states)
     if spec.kind is JunctionKind.MERGE:
         return solve_merge(*zip(roads, states), spec.priority)
-    fl, bounds, sigmas = _single_inflow(roads, rho, v, spec.alphas or (1.0,))
-    return _with_traces(fl, roads, states, bounds, sigmas)
+    fl, bounds, curves = _single_inflow(roads, rho, v, spec.alphas or (1.0,))
+    return _with_traces(fl, roads, states, bounds, curves)
 
 
 # ---------------------------------------------------------------------------

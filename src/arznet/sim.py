@@ -5,13 +5,17 @@ parameters (demand/supply with the attribute advected downstream); node fluxes
 come from the junction Riemann solvers evaluated on the adjacent boundary cells.
 External road ends use ghost cells frozen at the initial far-field state.
 
-Each step evaluates p(rho), w, v and the max wave speed once per road
+Each step evaluates p(rho), w, v and the max wave speed once per group of roads
 (``_cells``); the CFL bound and the fluxes of every edge, the external ends
 included, are computed from that one result.
 
-The time loop (``run_batch``) steps networks of one topology as one batch:
-each road's cells are one (B, n) array whose row b is member b's, and each
-member keeps its own clock. ``run`` is its one-member case.
+The time loop (``run_batch``) steps networks of one topology as one batch,
+and each member keeps its own clock. ``run`` is its one-member case. Roads
+that share their parameters, length and cell count form a group, whose cells
+are one (B, G, n) block: row b, slot s holds member b's road s of the group,
+and one call of each kernel steps them all. A group grows while its block
+holds at most ``_GROUP_VALUES`` cell values (members x roads x cells); a
+group of one road is the ordinary case.
 """
 
 from __future__ import annotations
@@ -192,18 +196,29 @@ def interface_flux(left: jn.Branch, right: jn.Branch) -> tuple[float, float]:
     return q, q * w
 
 
+# A group of same-parameter roads grows while its block holds at most this many cell
+# values (members x roads x cells). On a 2-core Xeon with 2 MB of L2 per core, a step of
+# two same-parameter roads as one block took 16-32 % less time than as two blocks up to
+# 5,000 values, and 13-23 % more at 10,000-50,000 values: the temporaries no longer fit
+# in L2.
+_GROUP_VALUES = 4096
+
+
 @dataclass
 class RoadRows:
-    """One road of every member of a batch: row b of each array is member b's.
+    """A group of roads of every member of a batch, as one block: the roads ``ids``,
+    which share their parameters, length and cell count. Row b, slot s of each array
+    is member b's road ``ids[s]``; a group of one road is the ordinary case.
 
-    ``ghosts`` holds each member's frozen far-field data in four columns: the
+    ``ghosts`` holds each road's frozen far-field data in four columns: the
     left ghost's density, p(rho) and w, then the right ghost's speed.
     """
 
-    road: DiscretizedRoad   # the first member's: parameters, cells and dx
-    rho: np.ndarray         # (B, n)
-    y: np.ndarray           # (B, n)
-    ghosts: np.ndarray      # (B, 4)
+    road: DiscretizedRoad   # the first member's road ids[0]: parameters, cells and dx
+    ids: tuple[str, ...]
+    rho: np.ndarray         # (B, G, n)
+    y: np.ndarray           # (B, G, n)
+    ghosts: np.ndarray      # (B, G, 4)
 
 
 def _ghost_columns(road: DiscretizedRoad) -> tuple[float, float, float, float]:
@@ -214,24 +229,47 @@ def _ghost_columns(road: DiscretizedRoad) -> tuple[float, float, float, float]:
 
 @dataclass
 class Batch:
-    """Networks of one topology stepped as one: member b is row b of each road's arrays.
+    """Networks of one topology stepped as one: member b is row b of each group's arrays.
 
     The members share the junctions and each road's parameters, length and
-    cell count; their cells and ghosts differ.
+    cell count; their cells and ghosts differ. ``where[rid]`` is the (group,
+    slot) of road ``rid``, and ``junction_ends`` the (group, slot, edge index)
+    of each end of ``Network.junction_ends``, in its order.
     """
 
     net: Network   # the first member's: junctions and road ends
-    roads: dict[str, RoadRows]
+    groups: list[RoadRows]
+
+    def __post_init__(self):
+        self.where = {rid: (g, s) for g, rows in enumerate(self.groups)
+                      for s, rid in enumerate(rows.ids)}
+        self.junction_ends = [(*self.where[rid], idx) for rid, idx in self.net.junction_ends]
 
     def take(self, rows) -> Batch:
         """The batch of the members selected by ``rows``, as copies."""
-        return Batch(self.net, {rid: RoadRows(r.road, r.rho[rows], r.y[rows], r.ghosts[rows])
-                                for rid, r in self.roads.items()})
+        return Batch(self.net, [RoadRows(r.road, r.ids, r.rho[rows], r.y[rows], r.ghosts[rows])
+                                for r in self.groups])
+
+
+def _grouped(roads: dict[str, DiscretizedRoad], members: int) -> list[list[str]]:
+    """Road ids in groups, in road order: a road joins the first group of its parameters,
+    length and cell count whose block stays within ``_GROUP_VALUES`` with it."""
+    groups = []
+    for rid, road in roads.items():
+        for ids in groups:
+            first = roads[ids[0]]
+            if ((first.params, first.length, first.cells) == (road.params, road.length, road.cells)
+                    and members * (len(ids) + 1) * road.cells <= _GROUP_VALUES):
+                ids.append(rid)
+                break
+        else:
+            groups.append([rid])
+    return groups
 
 
 def batch_of(networks: list[Network]) -> Batch:
-    """The networks as one batch. A single network's road arrays are viewed, not copied,
-    so that stepping the batch updates them in place."""
+    """The networks as one batch. A single network's road that is alone in its group
+    is viewed, not copied, so that stepping the batch updates it in place."""
     if not networks:
         raise ValueError("a batch needs at least one network")
     first = networks[0]
@@ -240,38 +278,42 @@ def batch_of(networks: list[Network]) -> Batch:
         if (net.junctions != first.junctions
                 or [(rid, r.params, r.length, r.cells) for rid, r in net.roads.items()] != shape):
             raise ValueError("batch members must share their roads and junctions")
-    roads = {}
-    for rid, road in first.roads.items():
-        members = [net.roads[rid] for net in networks]
-        if len(members) == 1:
-            rho, y = road.rho[None], road.y[None]
+    groups = []
+    for ids in _grouped(first.roads, len(networks)):
+        members = [[net.roads[rid] for rid in ids] for net in networks]
+        road = first.roads[ids[0]]
+        if len(networks) == 1 and len(ids) == 1:
+            rho, y = road.rho[None, None], road.y[None, None]
         else:
-            rho, y = np.stack([m.rho for m in members]), np.stack([m.y for m in members])
-        roads[rid] = RoadRows(road, rho, y, np.array([_ghost_columns(m) for m in members]))
-    return Batch(first, roads)
+            rho = np.array([[r.rho for r in m] for m in members])
+            y = np.array([[r.y for r in m] for m in members])
+        ghosts = np.array([[_ghost_columns(r) for r in m] for m in members])
+        groups.append(RoadRows(road, tuple(ids), rho, y, ghosts))
+    return Batch(first, groups)
 
 
 class _Cells(NamedTuple):
-    """One road's cell quantities for one step, laid out by edge (n cells, n + 1 edges).
+    """One group's cell quantities for one step, laid out by edge (n cells, n + 1 edges).
 
     ``p = p(rho)`` and ``w`` are those of the left state of each edge: the
     frozen left ghost, then cells 0..n-1. ``v`` is the right speed of each
-    edge: cells 0..n-1, then the frozen right ghost. Row b is member b's.
+    edge: cells 0..n-1, then the frozen right ghost. Row b, slot s is member
+    b's road s of the group.
     """
 
     p: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    speed: np.ndarray   # max wave speed over the cells, per member
+    speed: np.ndarray   # max wave speed over the cells, per member and road: (B, G)
 
 
 def _cells(rows: RoadRows) -> _Cells:
-    """Evaluate p(rho), w, v and the max wave speed of a road once, for the CFL bound and the fluxes."""
+    """Evaluate p(rho), w, v and the max wave speed of a group once, for the CFL bound and the fluxes."""
     par, n, rho = rows.road.params, rows.road.cells, rows.rho
-    shape = (len(rho), n + 1)
+    shape = (*rho.shape[:2], n + 1)
     p, w, v = np.empty(shape), np.empty(shape), np.empty(shape)
-    p[:, 0], w[:, 0], v[:, n] = rows.ghosts[:, 1], rows.ghosts[:, 2], rows.ghosts[:, 3]
-    p_c, w_c, v_c = p[:, 1:], w[:, 1:], v[:, :-1]
+    p[..., 0], w[..., 0], v[..., n] = rows.ghosts[..., 1], rows.ghosts[..., 2], rows.ghosts[..., 3]
+    p_c, w_c, v_c = p[..., 1:], w[..., 1:], v[..., :-1]
     fd._pressure(par, rho, out=p_c)
     # vacuum convention: w = v = v_ref
     vac = rho < fd.VACUUM_RHO
@@ -280,27 +322,31 @@ def _cells(rows: RoadRows) -> _Cells:
     np.maximum(w_c - p_c, 0.0, out=v_c)
     v_c[vac] = par.v_ref
     lam1 = w_c - (1.0 + par.gamma) * p_c
-    speed = np.maximum(np.maximum(np.abs(lam1).max(axis=1), v_c.max(axis=1)), par.v_ref)
+    speed = np.maximum(np.maximum(np.abs(lam1).max(axis=2), v_c.max(axis=2)), par.v_ref)
     # the last edge's left state as at an external end: w = v + p(rho), not y / rho
-    w[:, n] = np.where(rho[:, -1] >= fd.VACUUM_RHO, v[:, n - 1] + p[:, n], v[:, n - 1])
+    w[..., n] = np.where(rho[..., -1] >= fd.VACUUM_RHO, v[..., n - 1] + p[..., n], v[..., n - 1])
     return _Cells(p, w, v, speed)
 
 
-def _checked_cells(batch: Batch) -> dict[str, _Cells]:
-    """``_cells`` of each road; a non-finite state raises a SolverFailure that carries the member's ``row``."""
-    cells = {rid: _cells(rows) for rid, rows in batch.roads.items()}
-    for rid, c in cells.items():
-        bad = ~np.isfinite(c.speed)
+def _checked_cells(batch: Batch) -> list[_Cells]:
+    """``_cells`` of each group; a non-finite state raises a SolverFailure that carries the
+    member's ``row``, naming the first such road in road order."""
+    cells = [_cells(rows) for rows in batch.groups]
+    if all(np.isfinite(c.speed).all() for c in cells):
+        return cells
+    for rid in batch.net.roads:
+        g, s = batch.where[rid]
+        bad = ~np.isfinite(cells[g].speed[:, s])
         if bad.any():
             raise _in_row(SolverFailure(f"non-finite state on road {rid}"), int(np.argmax(bad)))
-    return cells
 
 
-def stable_dt(batch: Batch, cfl: float, cells: dict[str, _Cells]) -> np.ndarray:
-    """CFL time step of each member over all roads, from this step's ``_cells`` per road."""
+def stable_dt(batch: Batch, cfl: float, cells: list[_Cells]) -> np.ndarray:
+    """CFL time step of each member over all roads, from this step's ``_cells`` per group."""
     dt = math.inf
-    for rid, rows in batch.roads.items():
-        dt = np.minimum(dt, cfl * rows.road.dx / cells[rid].speed)
+    for rows, c in zip(batch.groups, cells):
+        # a group's smallest cfl * dx / speed, exactly: division rounds monotonically
+        dt = np.minimum(dt, cfl * rows.road.dx / c.speed.max(axis=1))
     return dt
 
 
@@ -318,12 +364,13 @@ def _junction_edges(batch: Batch, dt: np.ndarray, cfl: float) -> tuple[np.ndarra
     (rho, v) in plain floats."""
     states = []  # per junction, each member's densities and speeds at its ends: a tuple of each
     reach = []   # per junction, each incoming road's parameters and cfl * dx
+    table = iter(batch.junction_ends)
     for nj in batch.net.junctions:
-        ends = [(batch.roads[rid], idx) for rid, idx in nj.ends]
-        cols = [map(partial(fd._primitive, r.road.params), r.rho[:, idx].tolist(),
-                    r.y[:, idx].tolist()) for r, idx in ends]
+        ends = [(batch.groups[g], s, idx) for g, s, idx in itertools.islice(table, len(nj.ends))]
+        cols = [map(partial(fd._primitive, r.road.params), r.rho[:, s, idx].tolist(),
+                    r.y[:, s, idx].tolist()) for r, s, idx in ends]
         states.append([tuple(zip(*member)) for member in zip(*cols)])
-        reach.append([(r.road.params, cfl * r.road.dx) for r, _ in ends[:len(nj.in_ids)]])
+        reach.append([(r.road.params, cfl * r.road.dx) for r, _, _ in ends[:len(nj.in_ids)]])
     dts = dt.tolist()
     jfs = []  # member-major: one (mass flux, momentum flux, w) per end
     for row in range(len(dts)):
@@ -375,39 +422,39 @@ def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
 
     Returns each member's dt; the (mass flux, momentum flux, w) of each
     member at each junction road end, as ``_junction_edges`` gives them; and
-    the edge fluxes (mass, momentum) per road, one row per member. A
-    non-finite state and a junction's SolverFailure carry the member's ``row``.
+    the edge fluxes (mass, momentum) per road, one row per member: views of
+    its group's (B, G, n + 1) arrays at its slot. A non-finite state and a
+    junction's SolverFailure carry the member's ``row``.
     """
     cells = _checked_cells(batch)
     # cfl <= 1 (SimConfig) keeps dt within dx / speed on every road
     dt = np.minimum(stable_dt(batch, cfg.cfl, cells), t_left)
 
     # every edge as a 1-to-1 interface; junction edges are overwritten below
-    edge = {}
-    for rid, rows in batch.roads.items():
-        c = cells[rid]
+    edge = []
+    for rows, c in zip(batch.groups, cells):
         # the left densities of the edges, padded here rather than kept in _Cells:
         # fewer arrays stay alive across the step
         rho = np.empty(c.p.shape)
-        rho[:, 0], rho[:, 1:] = rows.ghosts[:, 0], rows.rho
+        rho[..., 0], rho[..., 1:] = rows.ghosts[..., 0], rows.rho
         de, su = jn.demand_supply(rows.road.params, rho, c.p, c.w, c.v)
         fm = np.minimum(de, su, out=de)
-        edge[rid] = (fm, c.w * fm)
+        edge.append((fm, c.w * fm))
 
     # the junction solves: a scalar loop over the members, which may cut dt
     junction_edges, dt = _junction_edges(batch, dt, cfg.cfl)
-    for k, (rid, idx) in enumerate(batch.net.junction_ends):
-        fm, fy = edge[rid]
-        fm[:, idx], fy[:, idx] = junction_edges[:, k, 0], junction_edges[:, k, 1]
+    for k, (g, s, idx) in enumerate(batch.junction_ends):
+        fm, fy = edge[g]
+        fm[:, s, idx], fy[:, s, idx] = junction_edges[:, k, 0], junction_edges[:, k, 1]
 
-    for rid, rows in batch.roads.items():
-        fm, fy = edge[rid]
-        lam = (dt / rows.road.dx)[:, None]
-        rows.rho -= lam * (fm[:, 1:] - fm[:, :-1])
-        rows.y -= lam * (fy[:, 1:] - fy[:, :-1])
+    for rows, (fm, fy) in zip(batch.groups, edge):
+        lam = (dt / rows.road.dx)[:, None, None]
+        rows.rho -= lam * (fm[..., 1:] - fm[..., :-1])
+        rows.y -= lam * (fy[..., 1:] - fy[..., :-1])
         np.maximum(rows.rho, 0.0, out=rows.rho)
         np.maximum(rows.y, 0.0, out=rows.y)
-    return dt, junction_edges, edge
+    return dt, junction_edges, {rid: (edge[g][0][:, s], edge[g][1][:, s])
+                                for rid, (g, s) in batch.where.items()}
 
 
 def _at(exc: Exception, member: int, steps: int, t) -> Exception:
@@ -456,7 +503,7 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     while True:
         done = ~(t < cfg.t_end * (1.0 - 1e-12)) | (steady >= STEADY_WINDOW) | (steps >= MAX_STEPS)
         if done.any():
-            final_v = {rid: _cells(rows).v for rid, rows in batch.roads.items()}
+            final_v = [_cells(rows).v for rows in batch.groups]
             for row in np.flatnonzero(done):
                 m = members[row]
                 if records[m][-1][0] != t[row]:  # only after a step: t stays 0.0 until one is taken
@@ -498,10 +545,11 @@ def _result(network, batch, row, final_v, records, ledger, steps, steady) -> Sim
     """Member ``row``'s result; its final cells go back into its own ``network``."""
     final_rho, v = {}, {}
     for rid, road in network.roads.items():
-        rows = batch.roads[rid]
-        road.rho[...], road.y[...] = rows.rho[row], rows.y[row]
+        g, s = batch.where[rid]
+        rows = batch.groups[g]
+        road.rho[...], road.y[...] = rows.rho[row, s], rows.y[row, s]
         final_rho[rid] = road.rho.copy()
-        v[rid] = final_v[rid][row, :-1]
+        v[rid] = final_v[g][row, s, :-1]
     ledger.final_mass = math.fsum(r.total_mass() for r in network.roads.values())
     ledger.final_momentum = math.fsum(r.total_momentum() for r in network.roads.values())
     jfs = np.array([jf for _, jf in records])

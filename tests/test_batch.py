@@ -1,9 +1,9 @@
 """The batched time loop: each member of a batch runs as its network would run alone.
 
 ``sim.run_batch`` steps networks of one topology as rows of one array per
-road, and ``sim.run`` is its one-member case. A member's arithmetic must be
-that of its own run, bit for bit, whatever the other members do and
-whenever they leave the batch.
+group of same-parameter roads, and ``sim.run`` is its one-member case. A
+member's arithmetic must be that of its own run, bit for bit, whatever the
+other members do and whenever they leave the batch.
 """
 
 import copy
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arznet import cli, sim
+from arznet import cli, scenario, sim
 from arznet import fundamental as fd
 from arznet import junction as jn
 from arznet.fundamental import RoadParams, TrafficState
@@ -37,9 +37,18 @@ def state(draw, p):
 
 @st.composite
 def topology(draw):
-    """Three roads' parameters, lengths and cells, and a 1-to-1 chain, a diverge or a merge."""
+    """Three roads' parameters, lengths and cells, and a 1-to-1 chain, a diverge or a merge.
+
+    Road b or c may copy the parameters, length and cells of an earlier road, so
+    that the two share a group: the incoming roads of a merge (a, b), the outgoing
+    roads of a diverge (b, c), or roads of the chain a -> b -> c.
+    """
     ps = [draw(params) for _ in range(3)]
     shape = [(draw(st.floats(0.5, 2.0)), draw(st.integers(1, 5))) for _ in range(3)]
+    for k in (1, 2):
+        earlier = draw(st.sampled_from([None, *range(k)]))
+        if earlier is not None:
+            ps[k], shape[k] = ps[earlier], shape[earlier]
     kind = draw(st.sampled_from(list(JunctionKind)))
     if kind is JunctionKind.ONE_TO_ONE:  # a -> b -> c: road b has a junction at each end
         junctions = [sim.NetworkJunction(JunctionSpec(kind, (ps[0],), (ps[1],)), ("a",), ("b",)),
@@ -161,11 +170,58 @@ def test_members_leave_the_batch_at_their_own_step():
 
 
 def test_one_member_batch_steps_the_network_in_place():
+    """A road alone in its group is stepped in its own arrays; r1 and r2 share a group."""
     net = ramp_network(2000.0)
     arrays = {rid: (road.rho, road.y) for rid, road in net.roads.items()}
     batch = sim.batch_of([net])
-    for rid, rows in batch.roads.items():
+    alone = [rows for rows in batch.groups if len(rows.ids) == 1]
+    assert [rows.ids for rows in alone] == [("r3",)]
+    for rows in alone:
+        (rid,) = rows.ids
         assert rows.rho.base is arrays[rid][0] and rows.y.base is arrays[rid][1]
+
+
+def four_roads() -> sim.Network:
+    """a -> b (1-to-1), b -> c, d (diverge): four roads, no two of the same parameters."""
+    ps = [RoadParams(200.0, 100.0, 1.0), RoadParams(150.0, 100.0, 1.5),
+          RoadParams(240.0, 100.0, 2.0), RoadParams(120.0, 100.0, 3.0)]
+    roads = {rid: sim.road_from_state(rid, p, 1.0, 20, fd.equilibrium_state(p, 0.3 * p.rho_max))
+             for rid, p in zip("abcd", ps)}
+    return sim.Network(roads, [
+        sim.NetworkJunction(JunctionSpec(JunctionKind.ONE_TO_ONE, (ps[0],), (ps[1],)), ("a",), ("b",)),
+        sim.NetworkJunction(JunctionSpec(JunctionKind.DIVERGE, (ps[1],), (ps[2], ps[3]),
+                                         alphas=(0.4, 0.6)), ("b",), ("c", "d"))])
+
+
+@pytest.mark.parametrize("nets, calls", [
+    ([ramp_network(2000.0)], 2),                                        # 1 x 2 x 100 values
+    ([ramp_network(q) for q in range(1000, 4200, 400)], 2),             # 8 x 2 x 100
+    ([four_roads()], 4),
+    ([ramp_network(2000.0, cells=5000)], 3),                            # 1 x 2 x 5000
+    ([ramp_network(q, cells=300) for q in range(1000, 4200, 400)], 3),  # 8 x 2 x 300
+], ids=["ramp", "ramp-8-members", "four-roads", "ramp-5000-cells", "ramp-8-members-300-cells"])
+def test_same_parameter_roads_share_a_group_up_to_its_size(monkeypatch, nets, calls):
+    """One ``junction.demand_supply`` call per group and step. Roads of the same
+    parameters, length and cells share a group while its block holds at most about 4096
+    values (members x roads x cells); beyond that, stacking them was measured slower."""
+    count = []
+    demand_supply = jn.demand_supply
+    monkeypatch.setattr(jn, "demand_supply", lambda *args: count.append(1) or demand_supply(*args))
+    sim.step(sim.batch_of(nets), sim.SimConfig(), np.full(len(nets), math.inf))
+    assert len(count) == calls
+
+
+def test_grouped_roads_write_the_outputs_of_one_array_per_road(tmp_path, capsys):
+    """Same-parameter roads at a merge (r1, r2) and at a diverge (d1, d2) share a group.
+    ``simulate`` writes the bytes that the simulator of commit eff2658, which stepped
+    each road as its own array, wrote for this scenario (``tests/data/grouped``)."""
+    path = DATA / "grouped" / "scenario.json"
+    net = scenario.build_network(scenario.load(path))
+    assert [rows.ids for rows in sim.batch_of([net]).groups] == [("r1", "r2"), ("m",),
+                                                                 ("d1", "d2")]
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    for name in ("fluxes.csv", "profiles.csv", "ledger.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / "grouped" / name).read_bytes(), name
 
 
 def test_members_must_share_the_topology():
