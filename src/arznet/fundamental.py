@@ -8,8 +8,11 @@ supply branches used by all junction couplings.
 
 All functions accept scalars or numpy arrays for the density/attribute arguments.
 Scalars take plain Python arithmetic, so Python floats give Python floats; arrays
-take numpy's, in the same operations and order (``_demand`` and ``_supply`` hold
-both forms).  Units are fixed: density in veh/km, speed in km/h, flux in veh/h.
+take numpy's, in the same operations and order.  The kernels that take ``out=``
+compute arrays in place: in ``out`` when given, so that a caller that keeps its
+arrays across calls allocates none, and otherwise in the arrays that their
+first operations make.  Units are fixed: density in veh/km, speed in km/h,
+flux in veh/h.
 """
 
 from __future__ import annotations
@@ -90,41 +93,61 @@ def _pressure_inv(p: RoadParams, val):
     return p.rho_max * (p.gamma * val / p.v_ref) ** (1.0 / p.gamma)
 
 
-def _sonic_point(p: RoadParams, c):
-    return p.rho_max * (c * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (1.0 / p.gamma)
+def _sonic_point(p: RoadParams, c, out=None):
+    x = c * p.gamma if out is None else np.multiply(c, p.gamma, out=out)
+    x /= p.v_ref * (1.0 + p.gamma)
+    x **= 1.0 / p.gamma
+    x *= p.rho_max
+    return x
 
 
-def _capacity(p: RoadParams, c, sigma):
+def _capacity(p: RoadParams, c, sigma, out=None):
     """Capacity along {w = c}, given its sonic point ``sigma``."""
     # p(sigma(c)) = c / (1 + gamma) for the power-law pressure
-    return (c * p.gamma / (1.0 + p.gamma)) * sigma
+    x = c * p.gamma if out is None else np.multiply(c, p.gamma, out=out)
+    x /= 1.0 + p.gamma
+    x *= sigma
+    return x
+
+
+def _new(*args):
+    """A float and a bool array of the shape that ``args`` broadcast to."""
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    return np.empty(shape), np.empty(shape, dtype=bool)
 
 
 # The scalar clamps are np.maximum(q, 0.0) exactly: NaN passes, and -0.0 becomes 0.0.
 
-def _demand(rho, p_rho, c, sigma, cap):
-    """Demand at ``rho`` (pressure ``p_rho``) along {w = c}, given its sonic point and capacity."""
+def _demand(rho, p_rho, c, sigma, cap, out=None, mask=None):
+    """Demand at ``rho`` (pressure ``p_rho``) along {w = c}, given its sonic point and capacity.
+    Arrays write it into ``out``, which may be ``p_rho``, with the bool array ``mask`` of its
+    shape; both are made when ``out`` is None."""
     if isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR):
         q = (c - p_rho) * rho if rho <= sigma else cap
         return 0.0 if q <= 0.0 else q
-    mask = rho <= sigma
-    congested = (c - p_rho) * rho
-    del p_rho  # a temporary from ``demand``: freed before ``np.where`` allocates
-    q = np.where(mask, congested, cap)
-    del mask, congested, cap  # the capacity too, before the clamp allocates
-    return np.maximum(q, 0.0)
+    if out is None:
+        out, mask = _new(rho, p_rho, c, sigma, cap)
+    np.logical_not(np.less_equal(rho, sigma, out=mask), out=mask)  # where cap is taken
+    q = np.subtract(c, p_rho, out=out)
+    q *= rho
+    np.copyto(q, cap, where=mask)
+    return np.maximum(q, 0.0, out=q)
 
 
-def _supply(p: RoadParams, rho, c, sigma, cap):
-    """Supply at density ``rho`` along {w = c}, given its sonic point and capacity."""
+def _supply(p: RoadParams, rho, c, sigma, cap, out=None, mask=None):
+    """Supply at density ``rho`` along {w = c}, given its sonic point and capacity.
+    Arrays write it into ``out`` with the bool array ``mask`` of its shape; both are made
+    when ``out`` is None."""
     if isinstance(rho, _SCALAR) and isinstance(sigma, _SCALAR):
         q = cap if rho <= sigma else (c - _pressure(p, rho)) * rho
         return 0.0 if q <= 0.0 else q
+    if out is None:
+        out, mask = _new(rho, c, sigma, cap)
     # densities beyond the zero-speed point can accept nothing, not a negative flux
-    congested = (c - _pressure(p, rho)) * rho
-    q = np.where(rho <= sigma, cap, congested)
-    del cap  # a temporary from ``supply`` (the oracle's grids): freed before the clamp allocates
-    return np.maximum(q, 0.0)
+    q = np.subtract(c, _pressure(p, rho, out=out), out=out)
+    q *= rho
+    np.copyto(q, cap, where=np.less_equal(rho, sigma, out=mask))
+    return np.maximum(q, 0.0, out=q)
 
 
 def pressure(p: RoadParams, rho):
@@ -155,16 +178,22 @@ def demand(p: RoadParams, rho, c):
     """Maximal flux the road can send downstream from density ``rho`` at attribute ``c``."""
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
-    rho = rho if isinstance(rho, _SCALAR) else np.asarray(rho, dtype=float)
+    # a 0-d density as a numpy scalar: numpy's array power may round differently
+    rho = rho if isinstance(rho, _SCALAR) else np.asarray(rho, dtype=float)[()]
     sigma = _sonic_point(p, c)
-    return _demand(rho, _pressure(p, rho), c, sigma, _capacity(p, c, sigma))
+    cap = _capacity(p, c, sigma)
+    if isinstance(rho, _SCALAR):
+        return _demand(rho, _pressure(p, rho), c, sigma, cap)
+    # p(rho) goes where the demand will: no more arrays than the supply takes
+    out, mask = _new(rho, c)
+    return _demand(rho, _pressure(p, rho, out=out), c, sigma, cap, out, mask)
 
 
 def supply(p: RoadParams, rho, c):
     """Maximal flux the road can accept at density ``rho`` and attribute ``c``."""
     _check_nonneg(rho, "rho")
     _check_nonneg(c, "attribute")
-    rho = rho if isinstance(rho, _SCALAR) else np.asarray(rho, dtype=float)
+    rho = rho if isinstance(rho, _SCALAR) else np.asarray(rho, dtype=float)[()]  # as in demand
     sigma = _sonic_point(p, c)
     return _supply(p, rho, c, sigma, _capacity(p, c, sigma))
 

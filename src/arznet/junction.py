@@ -52,16 +52,20 @@ def _check_priority(priority) -> None:
                          f"rounds to 1, and the mirrored merge divides by 1 - (1 - priority)")
 
 
-def modified_density(out_road: RoadParams, w_in: float, v_out):
+def modified_density(out_road: RoadParams, w_in: float, v_out, out=None):
     """Density on an outgoing road behind the contact carrying the incoming attribute.
 
     Intersection of {w = w_in} with {v = v_out}, clamped to vacuum when the
-    incoming attribute lies below the outgoing speed.
+    incoming attribute lies below the outgoing speed. Arrays are computed in
+    place, in ``out`` when given.
     """
-    arg = (out_road.gamma / out_road.v_ref) * (w_in - v_out)
+    arg = w_in - v_out if out is None else np.subtract(w_in, v_out, out=out)
+    arg *= out_road.gamma / out_road.v_ref
     # Python floats clamp with max (value first: NaN passes), numpy values with np.maximum
-    arg = max(arg, 0.0) if type(arg) is float else np.maximum(0.0, arg)
-    return out_road.rho_max * arg ** (1.0 / out_road.gamma)
+    arg = max(arg, 0.0) if type(arg) is float else np.maximum(0.0, arg, out=out)
+    arg **= 1.0 / out_road.gamma
+    arg *= out_road.rho_max
+    return arg
 
 
 def _demand_of(p: RoadParams, rho: float, v: float):
@@ -82,7 +86,7 @@ def _supply_for(p: RoadParams, v, w):
     return fd._supply(p, modified_density(p, w, v), w, sigma, cap), sigma, cap
 
 
-def demand_supply(p: RoadParams, rho, p_rho, w, v):
+def demand_supply(p: RoadParams, rho, p_rho, w, v, out=None):
     """Godunov demand of a left state and supply of the right state on one road.
 
     The left state is the density ``rho``, its pressure ``p_rho = p(rho)`` and
@@ -90,11 +94,16 @@ def demand_supply(p: RoadParams, rho, p_rho, w, v):
     (the modified density).  The interior-edge flux is ``min(demand, supply)``;
     a flux between two roads is a 1-to-1 junction solve.  Floats or arrays;
     the sonic point and the capacity along ``{w = const}`` are evaluated once.
+    With ``out``, arrays allocate nothing: it holds six arrays of their shape,
+    which receive the demand, the supply, the sonic point, the capacity and
+    the modified density, and a bool one for the kernels' masks.
     """
-    sigma = fd._sonic_point(p, w)
-    cap = fd._capacity(p, w, sigma)
-    demand = fd._demand(rho, p_rho, w, sigma, cap)
-    return demand, fd._supply(p, modified_density(p, w, v), w, sigma, cap)
+    demand, supply, sigma, cap, rho_t, mask = out or (None,) * 6
+    sigma = fd._sonic_point(p, w, out=sigma)
+    cap = fd._capacity(p, w, sigma, out=cap)
+    demand = fd._demand(rho, p_rho, w, sigma, cap, out=demand, mask=mask)
+    return demand, fd._supply(p, modified_density(p, w, v, out=rho_t), w, sigma, cap,
+                              out=supply, mask=mask)
 
 
 # ---------------------------------------------------------------------------

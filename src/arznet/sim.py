@@ -7,7 +7,10 @@ External road ends use ghost cells frozen at the initial far-field state.
 
 Each step evaluates p(rho), w, v and the max wave speed once per group of roads
 (``_cells``); the CFL bound and the fluxes of every edge, the external ends
-included, are computed from that one result.
+included, are computed from that one result. A group's work arrays are made
+with its batch and written over by every step, so no step allocates an array
+as long as a road; the groups of one shape share those whose values die
+within one call.
 
 The time loop (``run_batch``) steps networks of one topology as one batch,
 and each member keeps its own clock. ``run`` is its one-member case. Roads
@@ -132,8 +135,9 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in ]0,1], got {self.cfl}")
-        if not self.output_stride >= 1:
-            raise ValueError(f"output_stride must be at least 1, got {self.output_stride}")
+        # a NaN fails the comparison, and inf is not whole
+        if not (self.output_stride >= 1 and float(self.output_stride).is_integer()):
+            raise ValueError(f"output_stride must be at least 1 and whole, got {self.output_stride}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
         if not (math.isfinite(self.steady_tol) and self.steady_tol >= 0):
@@ -204,6 +208,30 @@ def interface_flux(left: jn.Branch, right: jn.Branch) -> tuple[float, float]:
 _GROUP_VALUES = 4096
 
 
+class _Work(NamedTuple):
+    """The arrays that every step of a group writes over, laid out by edge: (B, G, n + 1)
+    for n cells. Row b, slot s is member b's road s of the group.
+
+    ``p = p(rho)``, ``w`` and ``rho`` are those of the left state of each
+    edge: the frozen left ghost, then cells 0..n-1. ``v`` is the right speed
+    of each edge: cells 0..n-1, then the frozen right ghost. The group owns
+    the first five, which hold values from ``_cells`` to the update; the rest
+    are dead between the calls that write them, and the groups of one shape
+    share them.
+    """
+
+    p: np.ndarray         # p, w and v: written by ``_cells``
+    w: np.ndarray
+    v: np.ndarray
+    mass: np.ndarray      # the demand, then the mass flux
+    momentum: np.ndarray  # the supply, then the momentum flux
+    rho: np.ndarray
+    # jn.demand_supply's sonic point, capacity and modified density; the first also
+    # holds the wave speeds of ``_cells`` and the differences of the update
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray]
+    mask: np.ndarray      # bool
+
+
 @dataclass
 class RoadRows:
     """A group of roads of every member of a batch, as one block: the roads ``ids``,
@@ -211,7 +239,8 @@ class RoadRows:
     is member b's road ``ids[s]``; a group of one road is the ordinary case.
 
     ``ghosts`` holds each road's frozen far-field data in four columns: the
-    left ghost's density, p(rho) and w, then the right ghost's speed.
+    left ghost's density, p(rho) and w, then the right ghost's speed. Its
+    ``Batch`` gives it ``work``, so that no step allocates an array as long as a road.
     """
 
     road: DiscretizedRoad   # the first member's road ids[0]: parameters, cells and dx
@@ -219,6 +248,7 @@ class RoadRows:
     rho: np.ndarray         # (B, G, n)
     y: np.ndarray           # (B, G, n)
     ghosts: np.ndarray      # (B, G, 4)
+    work: _Work = field(init=False, repr=False)
 
 
 def _ghost_columns(road: DiscretizedRoad) -> tuple[float, float, float, float]:
@@ -244,9 +274,16 @@ class Batch:
         self.where = {rid: (g, s) for g, rows in enumerate(self.groups)
                       for s, rid in enumerate(rows.ids)}
         self.junction_ends = [(*self.where[rid], idx) for rid, idx in self.net.junction_ends]
+        shared = {}
+        for rows in self.groups:
+            shape = (*rows.rho.shape[:2], rows.road.cells + 1)
+            if shape not in shared:
+                shared[shape] = (np.empty(shape), tuple(np.empty(shape) for _ in range(3)),
+                                 np.empty(shape, dtype=bool))
+            rows.work = _Work(*(np.empty(shape) for _ in range(5)), *shared[shape])
 
     def take(self, rows) -> Batch:
-        """The batch of the members selected by ``rows``, as copies."""
+        """The batch of the members selected by ``rows``, as copies, with new work arrays."""
         return Batch(self.net, [RoadRows(r.road, r.ids, r.rho[rows], r.y[rows], r.ghosts[rows])
                                 for r in self.groups])
 
@@ -292,61 +329,47 @@ def batch_of(networks: list[Network]) -> Batch:
     return Batch(first, groups)
 
 
-class _Cells(NamedTuple):
-    """One group's cell quantities for one step, laid out by edge (n cells, n + 1 edges).
-
-    ``p = p(rho)`` and ``w`` are those of the left state of each edge: the
-    frozen left ghost, then cells 0..n-1. ``v`` is the right speed of each
-    edge: cells 0..n-1, then the frozen right ghost. Row b, slot s is member
-    b's road s of the group.
-    """
-
-    p: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-    speed: np.ndarray   # max wave speed over the cells, per member and road: (B, G)
-
-
-def _cells(rows: RoadRows) -> _Cells:
-    """Evaluate p(rho), w, v and the max wave speed of a group once, for the CFL bound and the fluxes."""
-    par, n, rho = rows.road.params, rows.road.cells, rows.rho
-    shape = (*rho.shape[:2], n + 1)
-    p, w, v = np.empty(shape), np.empty(shape), np.empty(shape)
+def _cells(rows: RoadRows) -> np.ndarray:
+    """Evaluate p(rho), w and v of a group once into its work arrays, for the CFL bound and
+    the fluxes, and return the max wave speed over the cells per member and road: (B, G)."""
+    par, n, rho, work = rows.road.params, rows.road.cells, rows.rho, rows.work
+    p, w, v = work.p, work.w, work.v
     p[..., 0], w[..., 0], v[..., n] = rows.ghosts[..., 1], rows.ghosts[..., 2], rows.ghosts[..., 3]
     p_c, w_c, v_c = p[..., 1:], w[..., 1:], v[..., :-1]
     fd._pressure(par, rho, out=p_c)
     # vacuum convention: w = v = v_ref
-    vac = rho < fd.VACUUM_RHO
-    np.divide(rows.y, np.where(vac, 1.0, rho), out=w_c)
-    w_c[vac] = par.v_ref
-    np.maximum(w_c - p_c, 0.0, out=v_c)
-    v_c[vac] = par.v_ref
-    lam1 = w_c - (1.0 + par.gamma) * p_c
-    speed = np.maximum(np.maximum(np.abs(lam1).max(axis=2), v_c.max(axis=2)), par.v_ref)
+    vac = np.less(rho, fd.VACUUM_RHO, out=work.mask[..., 1:])
+    vacuum = vac.any()
+    np.divide(rows.y, np.where(vac, 1.0, rho) if vacuum else rho, out=w_c)
+    np.maximum(np.subtract(w_c, p_c, out=v_c), 0.0, out=v_c)
+    if vacuum:
+        w_c[vac] = v_c[vac] = par.v_ref
+    lam1 = np.multiply(p_c, 1.0 + par.gamma, out=work.scratch[0][..., 1:])
+    np.abs(np.subtract(w_c, lam1, out=lam1), out=lam1)
     # the last edge's left state as at an external end: w = v + p(rho), not y / rho
     w[..., n] = np.where(rho[..., -1] >= fd.VACUUM_RHO, v[..., n - 1] + p[..., n], v[..., n - 1])
-    return _Cells(p, w, v, speed)
+    return np.maximum(np.maximum(lam1.max(axis=2), v_c.max(axis=2)), par.v_ref)
 
 
-def _checked_cells(batch: Batch) -> list[_Cells]:
+def _checked_cells(batch: Batch) -> list[np.ndarray]:
     """``_cells`` of each group; a non-finite state raises a SolverFailure that carries the
     member's ``row``, naming the first such road in road order."""
-    cells = [_cells(rows) for rows in batch.groups]
-    if all(np.isfinite(c.speed).all() for c in cells):
-        return cells
+    speeds = [_cells(rows) for rows in batch.groups]
+    if all(np.isfinite(speed).all() for speed in speeds):
+        return speeds
     for rid in batch.net.roads:
         g, s = batch.where[rid]
-        bad = ~np.isfinite(cells[g].speed[:, s])
+        bad = ~np.isfinite(speeds[g][:, s])
         if bad.any():
             raise _in_row(SolverFailure(f"non-finite state on road {rid}"), int(np.argmax(bad)))
 
 
-def stable_dt(batch: Batch, cfl: float, cells: list[_Cells]) -> np.ndarray:
-    """CFL time step of each member over all roads, from this step's ``_cells`` per group."""
+def stable_dt(batch: Batch, cfl: float, speeds: list[np.ndarray]) -> np.ndarray:
+    """CFL time step of each member over all roads, from this step's ``_cells`` speeds per group."""
     dt = math.inf
-    for rows, c in zip(batch.groups, cells):
+    for rows, speed in zip(batch.groups, speeds):
         # a group's smallest cfl * dx / speed, exactly: division rounds monotonically
-        dt = np.minimum(dt, cfl * rows.road.dx / c.speed.max(axis=1))
+        dt = np.minimum(dt, cfl * rows.road.dx / speed.max(axis=1))
     return dt
 
 
@@ -423,23 +446,22 @@ def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
     Returns each member's dt; the (mass flux, momentum flux, w) of each
     member at each junction road end, as ``_junction_edges`` gives them; and
     the edge fluxes (mass, momentum) per road, one row per member: views of
-    its group's (B, G, n + 1) arrays at its slot. A non-finite state and a
-    junction's SolverFailure carry the member's ``row``.
+    its group's (B, G, n + 1) work arrays at its slot, valid only until the
+    next ``step`` on this batch. A non-finite state and a junction's
+    SolverFailure carry the member's ``row``.
     """
-    cells = _checked_cells(batch)
     # cfl <= 1 (SimConfig) keeps dt within dx / speed on every road
-    dt = np.minimum(stable_dt(batch, cfg.cfl, cells), t_left)
+    dt = np.minimum(stable_dt(batch, cfg.cfl, _checked_cells(batch)), t_left)
 
     # every edge as a 1-to-1 interface; junction edges are overwritten below
     edge = []
-    for rows, c in zip(batch.groups, cells):
-        # the left densities of the edges, padded here rather than kept in _Cells:
-        # fewer arrays stay alive across the step
-        rho = np.empty(c.p.shape)
-        rho[..., 0], rho[..., 1:] = rows.ghosts[..., 0], rows.rho
-        de, su = jn.demand_supply(rows.road.params, rho, c.p, c.w, c.v)
-        fm = np.minimum(de, su, out=de)
-        edge.append((fm, c.w * fm))
+    for rows in batch.groups:
+        work = rows.work
+        work.rho[..., 0], work.rho[..., 1:] = rows.ghosts[..., 0], rows.rho
+        fm, fy = jn.demand_supply(rows.road.params, work.rho, work.p, work.w, work.v,
+                                  (work.mass, work.momentum, *work.scratch, work.mask))
+        np.minimum(fm, fy, out=fm)
+        edge.append((fm, np.multiply(work.w, fm, out=fy)))
 
     # the junction solves: a scalar loop over the members, which may cut dt
     junction_edges, dt = _junction_edges(batch, dt, cfg.cfl)
@@ -449,10 +471,10 @@ def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
 
     for rows, (fm, fy) in zip(batch.groups, edge):
         lam = (dt / rows.road.dx)[:, None, None]
-        rows.rho -= lam * (fm[..., 1:] - fm[..., :-1])
-        rows.y -= lam * (fy[..., 1:] - fy[..., :-1])
-        np.maximum(rows.rho, 0.0, out=rows.rho)
-        np.maximum(rows.y, 0.0, out=rows.y)
+        diff = rows.work.scratch[0][..., 1:]
+        for u, f in ((rows.rho, fm), (rows.y, fy)):
+            u -= np.multiply(np.subtract(f[..., 1:], f[..., :-1], out=diff), lam, out=diff)
+            np.maximum(u, 0.0, out=u)
     return dt, junction_edges, {rid: (edge[g][0][:, s], edge[g][1][:, s])
                                 for rid, (g, s) in batch.where.items()}
 
@@ -503,14 +525,15 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     while True:
         done = ~(t < cfg.t_end * (1.0 - 1e-12)) | (steady >= STEADY_WINDOW) | (steps >= MAX_STEPS)
         if done.any():
-            final_v = [_cells(rows).v for rows in batch.groups]
+            for rows in batch.groups:
+                _cells(rows)  # the final speeds, into work.v
             for row in np.flatnonzero(done):
                 m = members[row]
                 if records[m][-1][0] != t[row]:  # only after a step: t stays 0.0 until one is taken
                     records[m].append((float(t[row]), jfs[row].tolist()))
                 ledger = MassLedger(initial_mass=mass0[m], initial_momentum=momentum0[m],
                                     **{k: float(x) for k, x in zip(_FLOWS, flows[:, row])})
-                results[m] = _result(networks[m], batch, row, final_v, records[m],
+                results[m] = _result(networks[m], batch, row, records[m],
                                      ledger, steps, bool(steady[row] >= STEADY_WINDOW))
             if done.all():
                 return results
@@ -541,7 +564,7 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
             prev = cur
 
 
-def _result(network, batch, row, final_v, records, ledger, steps, steady) -> SimResult:
+def _result(network, batch, row, records, ledger, steps, steady) -> SimResult:
     """Member ``row``'s result; its final cells go back into its own ``network``."""
     final_rho, v = {}, {}
     for rid, road in network.roads.items():
@@ -549,7 +572,7 @@ def _result(network, batch, row, final_v, records, ledger, steps, steady) -> Sim
         rows = batch.groups[g]
         road.rho[...], road.y[...] = rows.rho[row, s], rows.y[row, s]
         final_rho[rid] = road.rho.copy()
-        v[rid] = final_v[g][row, s, :-1]
+        v[rid] = rows.work.v[row, s, :-1].copy()  # not a view that pins the group's arrays
     ledger.final_mass = math.fsum(r.total_mass() for r in network.roads.values())
     ledger.final_momentum = math.fsum(r.total_momentum() for r in network.roads.values())
     jfs = np.array([jf for _, jf in records])

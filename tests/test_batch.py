@@ -169,6 +169,38 @@ def test_members_leave_the_batch_at_their_own_step():
         assert_same_result(got, want)
 
 
+def test_results_own_their_arrays():
+    """A result's final cells are copies, not views that keep the batch's arrays alive."""
+    results = sim.run_batch([ramp_network(2000.0), ramp_network(3000.0)],
+                            sim.SimConfig(t_end=0.002))
+    for res in results:
+        for arr in (*res.final_rho.values(), *res.final_v.values()):
+            assert arr.flags.owndata
+
+
+def test_groups_of_one_shape_share_only_their_scratch_arrays():
+    """Two roads of one mesh but different parameters are two groups of one shape: they
+    share the arrays whose values die within one call, and step as if alone."""
+    roads = {rid: sim.road_from_state(rid, par, 2.0, 40, fd.equilibrium_state(par, 30.0))
+             for rid, par in (("a", ROAD_IN), ("b", RoadParams(150.0, 90.0, 1.5)))}
+    for road in roads.values():
+        road.rho[:20] *= 1.5
+        road.y[:20] *= 1.5
+    batches = [sim.batch_of([sim.Network(roads)])]
+    batches += [sim.batch_of([sim.Network({rid: copy.deepcopy(road)})])
+                for rid, road in roads.items()]
+    a, b = (rows.work for rows in batches[0].groups)
+    assert all(x is y for x, y in zip((a.rho, *a.scratch, a.mask), (b.rho, *b.scratch, b.mask)))
+    assert not any(np.shares_memory(x, y) for x, y in zip(a[:5], b[:5]))
+    t_left = np.full(1, 1e-5)  # below both roads' CFL steps: each batch takes this dt
+    for _ in range(10):
+        for batch in batches:
+            assert sim.step(batch, sim.SimConfig(), t_left)[0][0] == t_left[0]
+    both, alone = batches[0].groups, [g for batch in batches[1:] for g in batch.groups]
+    for got, want in zip(both, alone):
+        assert (got.rho.tobytes(), got.y.tobytes()) == (want.rho.tobytes(), want.y.tobytes())
+
+
 def test_one_member_batch_steps_the_network_in_place():
     """A road alone in its group is stepped in its own arrays; r1 and r2 share a group."""
     net = ramp_network(2000.0)

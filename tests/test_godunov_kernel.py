@@ -4,6 +4,8 @@
 in one call of ``junction.demand_supply``. Each edge must carry the flux of
 ``sim.interface_flux`` and of ``junction.solve`` (1-to-1) on the states on
 either side of it: the frozen ghosts at the ends, the cells in between.
+The kernels write into the group's work arrays; their bits must be those of
+the same formulas with one new array per operation.
 """
 
 import numpy as np
@@ -75,3 +77,42 @@ def test_vector_edges_match_scalar_flux(case):
         assert fy[i] == pytest.approx(mom, rel=RTOL, abs=atol * p.v_ref), i
         sol = jc.solve(jc.JunctionSpec(jc.JunctionKind.ONE_TO_ONE, (p,), (p,)), [left, right])
         assert fm[i] == pytest.approx(sol.q_in[0], rel=RTOL, abs=atol), i
+
+
+def allocating_edges(p: RoadParams, rho, y, ghosts):
+    """p, w and v of the left (p, w) and right (v) state of each edge, and the mass and
+    momentum fluxes, by the simulator's formulas with one new array per operation."""
+    g_rho, g_p, g_w, g_v = ghosts
+    p_c = (rho / p.rho_max) ** p.gamma * (p.v_ref / p.gamma)
+    vac = rho < fd.VACUUM_RHO
+    w_c = y / np.where(vac, 1.0, rho)
+    w_c[vac] = p.v_ref
+    v_c = np.maximum(w_c - p_c, 0.0)
+    v_c[vac] = p.v_ref
+    w_last = v_c[-1] + p_c[-1] if rho[-1] >= fd.VACUUM_RHO else v_c[-1]
+    pe, we = np.concatenate([[g_p], p_c]), np.concatenate([[g_w], w_c[:-1], [w_last]])
+    ve, re = np.concatenate([v_c, [g_v]]), np.concatenate([[g_rho], rho])
+    sigma = p.rho_max * (we * p.gamma / (p.v_ref * (1.0 + p.gamma))) ** (1.0 / p.gamma)
+    cap = (we * p.gamma / (1.0 + p.gamma)) * sigma
+    demand = np.maximum(np.where(re <= sigma, (we - pe) * re, cap), 0.0)
+    rho_t = p.rho_max * np.maximum(0.0, (p.gamma / p.v_ref) * (we - ve)) ** (1.0 / p.gamma)
+    p_t = (rho_t / p.rho_max) ** p.gamma * (p.v_ref / p.gamma)
+    supply = np.maximum(np.where(rho_t <= sigma, cap, (we - p_t) * rho_t), 0.0)
+    fm = np.minimum(demand, supply)
+    return pe, we, ve, fm, we * fm
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(road())
+def test_work_arrays_hold_the_bits_of_the_allocating_formulas(case):
+    p, cells, (g_left, g_right) = case
+    rho, y = (np.array(x) for x in zip(*cells))
+    r = sim.DiscretizedRoad("r", p, 1.0, len(cells), rho.copy(), y.copy(),
+                            ghost_left=g_left, ghost_right=g_right)
+    batch = sim.batch_of([sim.Network({"r": r})])
+    _, _, edge = sim.step(batch, sim.SimConfig(), np.zeros(1))  # dt = 0: only the fluxes
+    rows = batch.groups[0]
+    got = rows.work.p[0, 0], rows.work.w[0, 0], rows.work.v[0, 0], *(f[0] for f in edge["r"])
+    want = allocating_edges(p, rho, y, rows.ghosts[0, 0])
+    for name, g, w in zip(("p", "w", "v", "mass flux", "momentum flux"), got, want):
+        assert g.tobytes() == w.tobytes(), name

@@ -4,9 +4,12 @@ Called with Python floats, each kernel returns a Python float (or bool) and
 performs the same operations in the same order as its numpy path: the result
 equals, bit for bit, that of the same call with ``np.float64`` arguments and
 with 0-d arrays. Both take numpy's arithmetic. ``np.float64`` takes the
-``np.maximum`` clamp of ``modified_density``; 0-d arrays take the array forms
-of ``_pressure`` (``np.divide``, in-place power) and of the demand and the
-supply (``np.where``).
+``np.maximum`` clamp of ``modified_density``. 0-d arrays take the array forms:
+``_demand`` in place in a 0-d array; the forms with a power as numpy scalars,
+which their first operation returns for 0-d input; and the public demand and
+supply take a 0-d density as a scalar. Numpy's array power may round
+differently from its scalar power, so the simulator's in-place path is checked
+against the same formulas on arrays instead (``test_godunov_kernel``).
 """
 
 import dataclasses
