@@ -51,8 +51,9 @@ class DiscretizedRoad:
     ghost_right: TrafficState = None
 
     def __post_init__(self):
-        if self.cells < 1 or self.length <= 0:
-            raise ValueError("road needs positive length and at least one cell")
+        if self.cells < 1 or not 0 < self.length < math.inf:  # a NaN length fails both
+            raise ValueError(f"road needs positive length and at least one cell, "
+                             f"and a finite length; got {self.length} km, {self.cells} cells")
         if self.rho.shape != (self.cells,) or self.y.shape != (self.cells,):
             raise ValueError("state arrays must have one entry per cell")
         # a NaN fails both comparisons: rejected here, not at the first step
@@ -600,7 +601,8 @@ def write_flux_csv(result: SimResult, path) -> None:
 
 
 def write_profile_csv(result: SimResult, path) -> None:
-    """Final density/speed profiles as `branch_id,cell,rho,v` rows, as ``csv.writer`` writes them."""
+    """Final density/speed profiles as `branch_id,cell,rho,v` rows, as ``csv.writer`` writes them.
+    The profiles are float64 arrays, as ``run`` makes them."""
     import csv
     import io
 
@@ -613,8 +615,16 @@ def write_profile_csv(result: SimResult, path) -> None:
             buf = io.StringIO()
             csv.writer(buf).writerow([rid, ""])
             head = buf.getvalue()[:-3]
-            # a bounded number of rows as Python floats at a time keeps the peak memory flat
+            # cells with equal bits have equal reprs (-0.0 and 0.0 differ in bits), so each run of
+            # equal cells is formatted once; each block starts a run
+            rb, vb = rho.view(np.int64), v.view(np.int64)
+            first = np.ones(len(rho), bool)
+            first[1:] = (rb[1:] != rb[:-1]) | (vb[1:] != vb[:-1])
+            first[::_CSV_ROWS] = True
+            # a bounded number of rows at a time keeps the peak memory flat
             for lo in range(0, len(rho), _CSV_ROWS):
-                hi = lo + _CSV_ROWS
-                fh.write("".join([f"{head},{i},{r!r},{s!r}\r\n" for i, r, s in
-                                  zip(range(lo, hi), rho[lo:hi].tolist(), v[lo:hi].tolist())]))
+                r, s = rho[lo:lo + _CSV_ROWS], v[lo:lo + _CSV_ROWS]
+                runs = np.flatnonzero(first[lo:lo + _CSV_ROWS])
+                tails = [f",{x!r},{y!r}\r\n" for x, y in zip(r[runs].tolist(), s[runs].tolist())]
+                rows = np.repeat(np.array(tails, object), np.diff(runs, append=len(r))).tolist()
+                fh.write("".join([f"{head},{i}{t}" for i, t in zip(itertools.count(lo), rows)]))

@@ -243,7 +243,9 @@ class TestNetworkValidation:
         (0.0, 10, 10, "positive length and at least one cell"),
         (1.0, 0, 0, "positive length and at least one cell"),
         (1.0, 10, 9, "one entry per cell"),
-    ], ids=["length", "cells", "shape"])
+        (math.nan, 10, 10, "positive length and at least one cell"),
+        (math.inf, 10, 10, "positive length and at least one cell"),
+    ], ids=["length", "cells", "shape", "length_nan", "length_inf"])
     def test_road_shape_rejected(self, length, cells, n, message):
         with pytest.raises(ValueError, match=message):
             sim.DiscretizedRoad("r", ROAD_IN, length, cells, np.full(n, 40.0), np.full(n, 3000.0))
@@ -299,12 +301,22 @@ class TestCsvOutput:
 
     def test_profile_file_is_csv_writers(self, tmp_path):
         """The profile writer gives the bytes of ``csv.writer``: quoted road ids, repr floats,
-        \\r\\n line ends, across a block boundary (road "a" has more than 4096 cells)."""
+        \\r\\n line ends, across a block boundary (road "a" has more than 4096 cells), and
+        on runs of equal cells: a run across the boundary, equal rho under a changing v,
+        -0.0 next to 0.0, nan and inf, a road of one cell and a road of none."""
         values = [0.0, 5e-324, 1e-300, 1e-5, 0.1, 1e16]
         ids = ["a", "a,b", 'q"x', "", " sp ", "é", "x\ny", "r\r"]
         final_rho = {rid: np.resize(values, 4101 if rid == "a" else 7 + k)
                      for k, rid in enumerate(ids)}
         final_v = {rid: rho[::-1].copy() for rid, rho in final_rho.items()}
+        nan, inf = math.nan, math.inf
+        final_rho["runs"] = np.repeat([1e-5, 0.1, -0.0, 0.0, nan, inf, 0.0],
+                                      [3000, 2000, 2, 3, 4, 5, 1])
+        final_v["runs"] = np.repeat([1.0, 2.0, 3.0, 0.0, -0.0, inf, nan, -0.0],
+                                    [3000, 1500, 500, 2, 3, 4, 5, 1])
+        final_rho["one"], final_v["one"] = np.array([0.1]), np.array([-0.0])
+        final_rho["none"], final_v["none"] = np.zeros(0), np.zeros(0)
+        ids += ["runs", "one", "none"]
         res = sim.SimResult(np.zeros(1), {}, final_rho, final_v, sim.MassLedger(), 0, False)
         path, ref = tmp_path / "profiles.csv", tmp_path / "reference.csv"
         sim.write_profile_csv(res, path)
