@@ -12,8 +12,8 @@ scalar root).  Both kernels take a float density and speed per branch and return
 the fields of ``JunctionFluxes`` as a tuple, with one bound (a demand or a supply)
 and one sonic point and capacity per branch, incoming first, each computed once:
 ``fluxes`` checks each flux against that capacity, and each trace of ``solve``
-takes the sonic point to split its curve.  All entry points call the merge kernel
-for a merge and the single-inflow kernel otherwise.
+takes both to check its flux and split its curve.  All entry points call the
+merge kernel for a merge and the single-inflow kernel otherwise.
 """
 
 from __future__ import annotations
@@ -127,6 +127,13 @@ class JunctionSpec:
     priority: float | None = None            # merge only
 
     def __post_init__(self):
+        # a kind given by its value, and roads or rates given as lists, are held as declared
+        if type(self.kind) is not JunctionKind:
+            object.__setattr__(self, "kind", JunctionKind(self.kind))
+        for name in ("incoming", "outgoing", "alphas"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not tuple:
+                object.__setattr__(self, name, tuple(value))
         n, m = len(self.incoming), len(self.outgoing)
         if self.kind is JunctionKind.ONE_TO_ONE:
             if (n, m) != (1, 1) or self.alphas is not None or self.priority is not None:
@@ -190,25 +197,24 @@ def reconstruct_boundary_state(
     p: RoadParams,
     w: float,
     q: float,
-    side: str,
+    incoming: bool,
     ref_state: TrafficState,
     bound_active: bool,
     sigma: float,
+    cap: float,
 ) -> TrafficState:
-    """Solve rho * (w - p(rho)) = q on the branch dictated by the side and active bound.
+    """Solve rho * (w - p(rho)) = q on the branch dictated by ``incoming`` and the active bound.
 
     Incoming roads take the congested root unless the demand bound is active;
     outgoing roads take the free-flow root unless the supply bound is active; the
-    kernel's sonic point ``sigma`` along w splits the two.  The returned state
-    generates only outward-moving waves against ``ref_state``.
+    kernel's sonic point ``sigma`` along w splits the two, where the flux reaches
+    the kernel's capacity ``cap``.  The returned state generates only
+    outward-moving waves against ``ref_state``.
     """
-    if side not in ("incoming", "outgoing"):
-        raise ValueError(f"side must be 'incoming' or 'outgoing', got {side!r}")
-    cap = fd._capacity(p, w, sigma)
     _check_capacity(q, cap, w)
     rho_tiny = 1e-12 * max(1.0, p.rho_max)
 
-    if side == "incoming":
+    if incoming:
         if bound_active:
             rho = ref_state.rho if ref_state.rho <= sigma + rho_tiny else sigma
         else:
@@ -273,9 +279,8 @@ def _with_traces(
     tol = flux_tol(max(bounds))
     n = len(fl[0])
     traces = tuple(
-        reconstruct_boundary_state(p, w, q, "incoming" if i < n else "outgoing", s,
-                                   abs(q - bound) <= tol, sigma)
-        for i, (p, s, q, w, bound, (sigma, _)) in enumerate(zip(
+        reconstruct_boundary_state(p, w, q, i < n, s, abs(q - bound) <= tol, *curve)
+        for i, (p, s, q, w, bound, curve) in enumerate(zip(
             roads, states, fl[0] + fl[1], fl[2] + fl[3], bounds, curves))
     )
     return JunctionSolution(*fl, boundary_in=traces[:n], boundary_out=traces[n:])

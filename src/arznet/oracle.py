@@ -72,7 +72,10 @@ def feasible(ctx: MergeContext, q1, q2):
     tol = flux_tol(max(ctx.delta1, ctx.delta2))
     ok = (q1 >= -tol) & (q2 >= -tol)
     ok &= (q1 <= ctx.delta1 + tol) & (q2 <= ctx.delta2 + tol)
-    ok &= q1 + q2 <= supply_at(ctx, q1, q2) + tol
+    # the supply at the pair clamped to the quadrant: a negative flux fails the sign test,
+    # and mixing with it could give an attribute below 0, where the supply is undefined
+    clamped = (np.maximum(q, 0.0) if isinstance(q, np.ndarray) else max(q, 0.0) for q in (q1, q2))
+    ok &= q1 + q2 <= supply_at(ctx, *clamped) + tol
     return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 

@@ -382,10 +382,11 @@ def _in_row(exc: Exception, row: int) -> Exception:
 def _junction_edges(batch: Batch, dt: np.ndarray, cfl: float) -> tuple[np.ndarray, np.ndarray]:
     """(mass flux, momentum flux, w) of each member at each junction road end: shape
     (members, ends, 3), the ends in ``Network.junction_ends`` order; and each member's
-    ``dt``, cut by ``_shock_dt`` (a dt of 0, as for the initial data's fluxes, is never
-    cut). A junction's SolverFailure carries the member's ``row``. The end cells, which
-    ``_checked_cells`` has found finite, go to the solver as ``fd.from_conservative``'s
-    (rho, v) in plain floats."""
+    ``dt``, cut by ``_shock_dt`` (a dt of 0 is never cut). A junction's SolverFailure
+    names the junction and its roads, and carries the member's ``row``, the junction's
+    position ``junction`` and the member's (rho, v) per end ``states``, in branch order.
+    The end cells, which ``_checked_cells`` has found finite, go to the solver as
+    ``fd.from_conservative``'s (rho, v) in plain floats."""
     states = []  # per junction, each member's densities and speeds at its ends: a tuple of each
     reach = []   # per junction, each incoming road's parameters and cfl * dx
     table = iter(batch.junction_ends)
@@ -398,12 +399,15 @@ def _junction_edges(batch: Batch, dt: np.ndarray, cfl: float) -> tuple[np.ndarra
     dts = dt.tolist()
     jfs = []  # member-major: one (mass flux, momentum flux, w) per end
     for row in range(len(dts)):
-        for nj, js, ends in zip(batch.net.junctions, states, reach):
+        for k, (nj, js, ends) in enumerate(zip(batch.net.junctions, states, reach)):
             rho, v = js[row]
             try:
                 q_in, q_out, w_in, w_out, _, _ = jn.fluxes(nj.spec, rho, v)
                 dts[row] = _shock_dt(ends, rho, v, q_in, w_in, dts[row])
             except SolverFailure as exc:
+                exc.junction, exc.states = k, tuple(zip(rho, v))
+                exc.args = (f"{exc} at junction {k} ({', '.join(nj.in_ids)} -> "
+                            f"{', '.join(nj.out_ids)})",)
                 raise _in_row(exc, row)
             mom_in = [q * wv for q, wv in zip(q_in, w_in)]
             jfs += zip(q_in, mom_in, w_in)
@@ -508,14 +512,6 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     members = np.arange(len(networks))  # the member of each row
     mass0 = [math.fsum(r.total_mass() for r in net.roads.values()) for net in networks]
     momentum0 = [math.fsum(r.total_momentum() for r in net.roads.values()) for net in networks]
-    try:
-        _checked_cells(batch)  # the junction pass takes the end cells unchecked
-        jfs, _ = _junction_edges(batch, np.zeros(len(networks)), cfg.cfl)
-    except SolverFailure as exc:
-        raise _at(exc, exc.row, 0, 0.0)
-    # per member, (t, the junction fluxes that advanced it to t); at t = 0 the initial data's.
-    # Plain lists: a record pins no step's array
-    records = [[(0.0, jf)] for jf in jfs.tolist()]
     results = [None] * len(networks)
 
     t = np.zeros(len(networks))
@@ -524,14 +520,40 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     prev = None
     steps = 0
     while True:
+        try:
+            dt, jfs, edge = step(batch, cfg, cfg.t_end - t)
+        except SolverFailure as exc:
+            raise _at(exc, members[exc.row], steps, t[exc.row])
+        if not steps:
+            # per member, (t, the junction fluxes that advanced it to t): step 1 solves the
+            # initial data's, the t = 0 record. Plain lists: a record pins no step's array
+            records = [[(0.0, jf)] for jf in jfs.tolist()]
+        for rid, idx in batch.net.external_ends:
+            fm, fy = edge[rid]
+            k = 0 if idx == 0 else 1
+            flows[k] += dt * fm[:, idx]
+            flows[k + 2] += dt * fy[:, idx]
+        t += dt
+        steps += 1
+        if jfs.shape[1]:
+            cur = jfs[:, :, 0]
+            if prev is not None:
+                change = np.abs(cur - prev).max(axis=1) / np.maximum(1.0, np.abs(cur).max(axis=1))
+                steady = np.where(change < cfg.steady_tol, steady + 1, 0)
+            prev = cur
+
         done = ~(t < cfg.t_end * (1.0 - 1e-12)) | (steady >= STEADY_WINDOW) | (steps >= MAX_STEPS)
+        for row in np.flatnonzero(done | (steps % cfg.output_stride == 0)):
+            m = members[row]
+            if records[m][-1][0] != t[row]:  # a step of dt = 0 (t_end = 0) stays at t = 0
+                records[m].append((float(t[row]), jfs[row].tolist()))
         if done.any():
-            for rows in batch.groups:
-                _cells(rows)  # the final speeds, into work.v
+            try:
+                _checked_cells(batch)  # the final state, and its speeds into work.v
+            except SolverFailure as exc:
+                raise _at(exc, members[exc.row], steps, t[exc.row])
             for row in np.flatnonzero(done):
                 m = members[row]
-                if records[m][-1][0] != t[row]:  # only after a step: t stays 0.0 until one is taken
-                    records[m].append((float(t[row]), jfs[row].tolist()))
                 ledger = MassLedger(initial_mass=mass0[m], initial_momentum=momentum0[m],
                                     **{k: float(x) for k, x in zip(_FLOWS, flows[:, row])})
                 results[m] = _result(networks[m], batch, row, records[m],
@@ -542,27 +564,6 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
             batch, members, t, steady = batch.take(keep), members[keep], t[keep], steady[keep]
             flows = flows[:, keep]
             prev = None if prev is None else prev[keep]
-
-        try:
-            dt, jfs, edge = step(batch, cfg, cfg.t_end - t)
-        except SolverFailure as exc:
-            raise _at(exc, members[exc.row], steps, t[exc.row])
-        for rid, idx in batch.net.external_ends:
-            fm, fy = edge[rid]
-            k = 0 if idx == 0 else 1
-            flows[k] += dt * fm[:, idx]
-            flows[k + 2] += dt * fy[:, idx]
-        t += dt
-        steps += 1
-        if steps % cfg.output_stride == 0:
-            for row, m in enumerate(members):
-                records[m].append((float(t[row]), jfs[row].tolist()))
-        if jfs.shape[1]:
-            cur = jfs[:, :, 0]
-            if prev is not None:
-                change = np.abs(cur - prev).max(axis=1) / np.maximum(1.0, np.abs(cur).max(axis=1))
-                steady = np.where(change < cfg.steady_tol, steady + 1, 0)
-            prev = cur
 
 
 def _result(network, batch, row, records, ledger, steps, steady) -> SimResult:

@@ -9,6 +9,7 @@ other members do and whenever they leave the batch.
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,14 @@ def state(draw, p):
 
 @st.composite
 def topology(draw):
-    """Three roads' parameters, lengths and cells, and a 1-to-1 chain, a diverge or a merge.
+    """Three roads' parameters, lengths and cells, and a 1-to-1 chain, a diverge, a merge
+    or no junction at all.
 
     Road b or c may copy the parameters, length and cells of an earlier road, so
     that the two share a group: the incoming roads of a merge (a, b), the outgoing
-    roads of a diverge (b, c), or roads of the chain a -> b -> c.
+    roads of a diverge (b, c), or roads of the chain a -> b -> c. Unconnected roads
+    have no junction fluxes to turn steady: their members leave at t_end, each at
+    its own step.
     """
     ps = [draw(params) for _ in range(3)]
     shape = [(draw(st.floats(0.5, 2.0)), draw(st.integers(1, 5))) for _ in range(3)]
@@ -49,8 +53,10 @@ def topology(draw):
         earlier = draw(st.sampled_from([None, *range(k)]))
         if earlier is not None:
             ps[k], shape[k] = ps[earlier], shape[earlier]
-    kind = draw(st.sampled_from(list(JunctionKind)))
-    if kind is JunctionKind.ONE_TO_ONE:  # a -> b -> c: road b has a junction at each end
+    kind = draw(st.sampled_from([*JunctionKind, None]))
+    if kind is None:
+        junctions = []
+    elif kind is JunctionKind.ONE_TO_ONE:  # a -> b -> c: road b has a junction at each end
         junctions = [sim.NetworkJunction(JunctionSpec(kind, (ps[0],), (ps[1],)), ("a",), ("b",)),
                      sim.NetworkJunction(JunctionSpec(kind, (ps[1],), (ps[2],)), ("b",), ("c",))]
     elif kind is JunctionKind.DIVERGE:
@@ -256,6 +262,38 @@ def test_grouped_roads_write_the_outputs_of_one_array_per_road(tmp_path, capsys)
         assert (tmp_path / name).read_bytes() == (DATA / "grouped" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("make", [lambda: ramp_network(2000.0), four_roads],
+                         ids=["merge", "four-roads"])
+def test_one_junction_solve_per_junction_and_step(monkeypatch, make):
+    """Step 1's junction pass gives the t = 0 record: no junction is solved twice."""
+    net = make()
+    calls, fluxes = [], jn.fluxes
+    monkeypatch.setattr(jn, "fluxes", lambda *args: calls.append(1) or fluxes(*args))
+    res = sim.run(net, sim.SimConfig(t_end=0.002))
+    assert res.steps > 1 and len(calls) == res.steps * len(net.junctions)
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("make", [lambda: graded_ramp(2000.0, 5.0, 60.0), four_roads],
+                         ids=["merge", "four-roads"])
+def test_run_to_t_end_0_takes_one_step_of_dt_0(make, stride):
+    """A run to t_end = 0 takes one step of dt = 0: its junction pass is the one t = 0
+    record, on the initial data, and the cells stay as they were."""
+    net = make()
+    cells = {rid: (r.rho.tobytes(), r.y.tobytes()) for rid, r in net.roads.items()}
+    ends = {(rid, idx): fd.from_conservative(net.roads[rid].params, net.roads[rid].rho[idx],
+                                             net.roads[rid].y[idx])
+            for rid, idx in net.junction_ends}
+    res = sim.run(net, sim.SimConfig(t_end=0.0, output_stride=stride))
+    assert res.steps == 1 and res.times.tolist() == [0.0]
+    for nj in net.junctions:
+        fl = jn.junction_fluxes(nj.spec, [ends[end] for end in nj.ends])
+        for end, q, w in zip(nj.ends, fl.q_in + fl.q_out, fl.w_in + fl.w_out):
+            assert res.flux_series[end].tolist() == [[q, w]], end
+    assert {rid: (r.rho.tobytes(), r.y.tobytes()) for rid, r in net.roads.items()} == cells
+    assert all(res.final_rho[rid].tobytes() == rho for rid, (rho, _) in cells.items())
+
+
 def test_members_must_share_the_topology():
     with pytest.raises(ValueError, match="share their roads and junctions"):
         sim.batch_of([ramp_network(2000.0), ramp_network(2000.0, cells=50)])
@@ -294,16 +332,19 @@ class TestFailuresNameTheirMember:
         fluxes, calls = jn.fluxes, []
 
         def fail_once_member_0_left(spec, rho, v):
-            calls.append(1)
-            # two initial solves, then two per step until member 0 leaves
-            if len(calls) == 2 + 2 * steps[0] + 1:
+            calls.append((rho, v))
+            # two solves per step until member 0 leaves
+            if len(calls) == 2 * steps[0] + 1:
                 raise SolverFailure("forced failure")
             return fluxes(spec, rho, v)
         monkeypatch.setattr(jn, "fluxes", fail_once_member_0_left)
-        with pytest.raises(SolverFailure, match=rf"^forced failure at step {steps[0]}, "
+        with pytest.raises(SolverFailure, match=rf"^forced failure at junction 0 "
+                                                rf"\(r1, r2 -> r3\) at step {steps[0]}, "
                                                 rf"t=0\.\d+ \(member 1\)$") as info:
             sim.run_batch(nets, cfg)
-        assert info.value.member == 1
+        assert (info.value.member, info.value.junction) == (1, 0)
+        rho, v = calls[-1]
+        assert info.value.states == tuple(zip(rho, v)) and len(rho) == 3
 
     def test_non_finite_state_names_member_step_and_t(self):
         nets = [ramp_network(1000.0), ramp_network(2000.0)]
@@ -325,6 +366,24 @@ class TestFailuresNameTheirMember:
             sim.run_batch(nets, sim.SimConfig())
         assert info.value.member == 1
 
+    def test_non_finite_final_state_names_road_step_and_t(self, monkeypatch):
+        """The state after the last step is checked as every earlier one is: an infinite
+        junction flux on the last step's pass leaves road r3 non-finite."""
+        cfg = sim.SimConfig(t_end=0.002)
+        res = sim.run(ramp_network(2000.0), cfg)
+        fluxes, calls = jn.fluxes, []
+
+        def infinite_on_the_last_pass(spec, rho, v):
+            calls.append(1)
+            (q1, q2), *rest = fl = fluxes(spec, rho, v)
+            return ((math.inf, q2), *rest) if len(calls) == res.steps else fl
+        monkeypatch.setattr(jn, "fluxes", infinite_on_the_last_pass)
+        t = re.escape(repr(float(res.times[-1])))
+        with pytest.raises(SolverFailure, match=rf"^non-finite state on road r3 at step "
+                                                rf"{res.steps}, t={t} \(member 0\)$") as info:
+            sim.run(ramp_network(2000.0), cfg)
+        assert info.value.member == 0
+
     def test_capacity_drop_names_the_sweep_value(self, tmp_path, monkeypatch, capsys):
         """A root-find failure and an infeasible flux are both numerical failures: exit 3."""
         path = tmp_path / "merge.json"
@@ -342,5 +401,6 @@ class TestFailuresNameTheirMember:
             code = cli.main(["capacity-drop", "--scenario", str(path),
                              "--sweep", "1000,2000,3000"])
             assert code == cli.EXIT_NUMERIC, failure
-            assert capsys.readouterr().err == ("numerical failure: forced failure at step 0, "
-                                               "t=0.0 (member 1), sweep value 2000.0\n")
+            assert capsys.readouterr().err == ("numerical failure: forced failure at junction 0 "
+                                               "(r1, r2 -> r3) at step 0, t=0.0 (member 1), "
+                                               "sweep value 2000.0\n")

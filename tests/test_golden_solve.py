@@ -88,8 +88,8 @@ def _solution(inst) -> dict:
     return out
 
 
-def _exact_trace(p: RoadParams, w: float, q: float, side: str) -> list[float]:
-    """Root of rho (w - p(rho)) = q on the branch of ``side``, at DIGITS digits, as floats.
+def _exact_trace(p: RoadParams, w: float, q: float, incoming: bool) -> list[float]:
+    """Root of rho (w - p(rho)) = q on the branch of its side, at DIGITS digits, as floats.
 
     The incoming side takes the congested root in [sigma, p^-1(w)], the
     outgoing side the free-flow root in [0, sigma]; q is capped at the
@@ -106,7 +106,7 @@ def _exact_trace(p: RoadParams, w: float, q: float, side: str) -> list[float]:
 
         sigma = rho_max * (w * gamma / (v_ref * (1 + gamma))) ** (1 / gamma)
         rho_jam = rho_max * (gamma * w / v_ref) ** (1 / gamma)
-        increasing = side == "outgoing"
+        increasing = not incoming
         lo, hi = (mpmath.mpf(0), sigma) if increasing else (sigma, rho_jam)
         for _ in range(4 * DIGITS):  # 2^-200 of the bracket
             mid = (lo + hi) / 2
@@ -165,9 +165,9 @@ def _recorded(inst) -> dict:
     traces = out["boundary_in"] + out["boundary_out"]
     assert len(spy.call_args_list) == len(traces)
     for i, call in enumerate(spy.call_args_list):
-        p, w, q, side, _, bound_active, _ = call.args
+        p, w, q, incoming, _, bound_active, _, _ = call.args
         if not bound_active:
-            traces[i] = _exact_trace(p, w, q, side)
+            traces[i] = _exact_trace(p, w, q, incoming)
     n = len(out["boundary_in"])
     out["boundary_in"], out["boundary_out"] = traces[:n], traces[n:]
     return out

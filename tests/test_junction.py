@@ -147,14 +147,46 @@ class TestSpecValidation:
             JunctionSpec(kind, (p,) * n_in, (p,) * n_out, **fields)
 
     def test_state_count_and_trace_side_rejected(self):
+        """Both paths reject a state count that does not match the branches."""
         p = RoadParams(1.0, 2.0, 2.0)
         s = TrafficState(0.5, 1.0)
         spec = JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,))
         for run in (jc.junction_fluxes, jc.solve):
             with pytest.raises(ValueError, match="expected 2 states, got 3"):
                 run(spec, [s, s, s])
-        with pytest.raises(ValueError, match="side must be 'incoming' or 'outgoing'"):
-            jc.reconstruct_boundary_state(p, 1.5, 0.1, "left", s, False, fd.sonic_point(p, 1.5))
+
+    @pytest.mark.parametrize("kind, n_in, n_out, fields, message", [
+        ("merge", 3, 1, {}, "merge takes two incoming"),
+        ("diverge", 1, 2, {"alphas": (0.7, 0.7)}, "assignment rates must sum to 1"),
+        ("one_to_one", 1, 1, {"priority": 0.5}, "1-to-1 junction takes one incoming"),
+        ("roundabout", 1, 1, {}, "not a valid JunctionKind"),
+    ], ids=["merge", "diverge", "one_to_one", "unknown"])
+    def test_kind_given_by_its_value_is_checked(self, kind, n_in, n_out, fields, message):
+        """A plain-string kind goes through the checks of its JunctionKind."""
+        p = RoadParams(180.0, 100.0, 1.2)
+        with pytest.raises(ValueError, match=message):
+            JunctionSpec(kind, (p,) * n_in, (p,) * n_out, **fields)
+
+    def test_kind_and_branches_are_held_as_declared(self):
+        """A kind's value and lists of roads and rates give the spec of the enum and tuples:
+        equal, hashable, and solved alike."""
+        p = RoadParams(180.0, 100.0, 1.2)
+        s = TrafficState(30.0, 50.0)
+        pairs = [
+            (JunctionSpec(JunctionKind.ONE_TO_ONE, (p,), (p,)),
+             JunctionSpec("one_to_one", [p], [p])),
+            (JunctionSpec(JunctionKind.DIVERGE, (p,), (p, p), alphas=(0.3, 0.7)),
+             JunctionSpec("diverge", [p], [p, p], alphas=[0.3, 0.7])),
+            (JunctionSpec(JunctionKind.MERGE, (p, p), (p,), priority=0.4),
+             JunctionSpec("merge", [p, p], [p], priority=0.4)),
+        ]
+        for spec, declared in pairs:
+            assert declared == spec and hash(declared) == hash(spec)
+            assert declared.kind is spec.kind
+            assert all(type(x) is tuple for x in (declared.incoming, declared.outgoing))
+            states = [s] * (len(spec.incoming) + len(spec.outgoing))
+            assert jc.junction_fluxes(declared, states) == jc.junction_fluxes(spec, states)
+        assert pairs[1][1].alphas == (0.3, 0.7)
 
     @pytest.mark.parametrize("kind, n_in, n_out, field", [
         (JunctionKind.MERGE, 2, 1, "alphas"), (JunctionKind.DIVERGE, 1, 2, "priority")])

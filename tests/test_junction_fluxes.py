@@ -129,11 +129,14 @@ def test_one_demand_per_incoming_road(monkeypatch, kind, n_in):
 
 @pytest.mark.parametrize("kind", ["one_to_one", "diverge", "merge"])
 def test_one_capacity_per_branch(monkeypatch, kind):
-    """The flux path evaluates each branch's capacity once: the kernel returns it beside
-    the branch's bound, and the capacity check takes it from there."""
+    """Each path evaluates each branch's capacity once: the kernel returns it beside the
+    branch's bound, and the capacity check and the traces take it from there."""
     a, b, c, state = _roads_and_states()
     spec = _spec(kind, a, b, c)
     states = [state[p] for p in spec.incoming + spec.outgoing]
     capacities = _counting(monkeypatch, fd, "_capacity")
-    jc.fluxes(spec, [s.rho for s in states], [s.v for s in states])
-    assert len(capacities) == len(states)
+    for run in (lambda: jc.fluxes(spec, [s.rho for s in states], [s.v for s in states]),
+                lambda: jc.solve(spec, states)):
+        capacities.clear()
+        run()
+        assert len(capacities) == len(states)

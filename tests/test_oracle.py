@@ -6,7 +6,7 @@ import pytest
 from arznet import fundamental as fd
 from arznet import junction as jc
 from arznet import oracle
-from arznet.fundamental import TrafficState
+from arznet.fundamental import RoadParams, TrafficState
 from shared import rand_params, rand_state
 
 
@@ -28,6 +28,20 @@ class TestFeasibility:
         ctx = rand_context(rng)
         assert not oracle.feasible(ctx, ctx.delta1 * 1.01, 0.0)
         assert not oracle.feasible(ctx, 0.0, ctx.delta2 * 1.01)
+
+    def test_pair_with_a_negative_flux_is_infeasible(self):
+        """A flux pair outside the quadrant is not admissible. Its supply is taken at the
+        pair clamped to the quadrant: mixing with a negative flux can give an attribute
+        below 0, where the supply is undefined."""
+        p = RoadParams(180.0, 100.0, 1.2)
+        ctx = oracle.MergeContext((p, TrafficState(150.0, 10.0)), (p, TrafficState(1.0, 5.0)),
+                                  (p, TrafficState(30.0, 50.0)))
+        assert oracle.feasible(ctx, -1.0, 3.0) is False
+        assert oracle.feasible(ctx, 3.0, -1.0) is False
+        q1, q2 = np.array([-1.0, 0.0, 1.0, 1.0]), np.array([3.0, 0.0, 1.0, -2.0])
+        vec = oracle.feasible(ctx, q1, q2)
+        np.testing.assert_array_equal(vec, [False, True, True, False])
+        assert [oracle.feasible(ctx, a, b) for a, b in zip(q1.tolist(), q2.tolist())] == vec.tolist()
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(101)

@@ -48,8 +48,8 @@ def reconstruct(p, w, q, side):
         return rootfind.newton(counted, *args)
 
     with mock.patch.object(jc, "newton", counting):
-        s = jc.reconstruct_boundary_state(p, w, q, side, TrafficState(0.0, 0.0), False,
-                                          fd.sonic_point(p, w))
+        s = jc.reconstruct_boundary_state(p, w, q, side == "incoming", TrafficState(0.0, 0.0),
+                                          False, fd.sonic_point(p, w), fd.capacity(p, w))
     return s, len(evals)
 
 
