@@ -6,11 +6,12 @@ come from the junction Riemann solvers evaluated on the adjacent boundary cells.
 External road ends use ghost cells frozen at the initial far-field state.
 
 Each step evaluates p(rho), w, v and the max wave speed once per group of roads
-(``_cells``); the CFL bound and the fluxes of every edge, the external ends
-included, are computed from that one result. A group's work arrays are made
-with its batch and written over by every step, so no step allocates an array
-as long as a road; the groups of one shape share those whose values die
-within one call.
+(``_cells``), takes dt from the speeds and solves the junctions from the end
+cells. Then one pass per group computes every edge flux, writes the junction
+fluxes over its junction ends and updates its cells. A group's work arrays are
+made with its batch and written over by every step, so no step allocates an
+array as long as a road. A group owns only p, w and v, which live from
+``_cells`` to its pass; the groups of one shape share the rest.
 
 The time loop (``run_batch``) steps networks of one topology as one batch,
 and each member keeps its own clock. ``run`` is its one-member case. Roads
@@ -216,9 +217,9 @@ class _Work(NamedTuple):
     ``p = p(rho)``, ``w`` and ``rho`` are those of the left state of each
     edge: the frozen left ghost, then cells 0..n-1. ``v`` is the right speed
     of each edge: cells 0..n-1, then the frozen right ghost. The group owns
-    the first five, which hold values from ``_cells`` to the update; the rest
-    are dead between the calls that write them, and the groups of one shape
-    share them.
+    the first three, which hold values from ``_cells`` to its pass of
+    ``step``; the rest die within a call of ``_cells`` or a group's pass, and
+    the groups of one shape share them.
     """
 
     p: np.ndarray         # p, w and v: written by ``_cells``
@@ -264,8 +265,9 @@ class Batch:
 
     The members share the junctions and each road's parameters, length and
     cell count; their cells and ghosts differ. ``where[rid]`` is the (group,
-    slot) of road ``rid``, and ``junction_ends`` the (group, slot, edge index)
-    of each end of ``Network.junction_ends``, in its order.
+    slot) of road ``rid``, and ``junction_ends`` and ``external_ends`` the
+    (group, slot, edge index) of each end of ``Network.junction_ends`` and
+    ``Network.external_ends``, in their order.
     """
 
     net: Network   # the first member's: junctions and road ends
@@ -275,13 +277,14 @@ class Batch:
         self.where = {rid: (g, s) for g, rows in enumerate(self.groups)
                       for s, rid in enumerate(rows.ids)}
         self.junction_ends = [(*self.where[rid], idx) for rid, idx in self.net.junction_ends]
+        self.external_ends = [(*self.where[rid], idx) for rid, idx in self.net.external_ends]
         shared = {}
         for rows in self.groups:
             shape = (*rows.rho.shape[:2], rows.road.cells + 1)
             if shape not in shared:
-                shared[shape] = (np.empty(shape), tuple(np.empty(shape) for _ in range(3)),
-                                 np.empty(shape, dtype=bool))
-            rows.work = _Work(*(np.empty(shape) for _ in range(5)), *shared[shape])
+                arrays = [np.empty(shape) for _ in range(6)]
+                shared[shape] = (*arrays[:3], tuple(arrays[3:]), np.empty(shape, dtype=bool))
+            rows.work = _Work(*(np.empty(shape) for _ in range(3)), *shared[shape])
 
     def take(self, rows) -> Batch:
         """The batch of the members selected by ``rows``, as copies, with new work arrays."""
@@ -446,42 +449,39 @@ def _shock_dt(ends, rho, v, q, w, dt: float) -> float:
 def step(batch: Batch, cfg: SimConfig, t_left: np.ndarray):
     """Advance every member by one whole step: member b by its CFL time step, or by
     ``t_left[b]`` when that is shorter, cut further where a junction sends a shock into
-    one of its incoming roads that is faster than the road's cells' waves.
+    one of its incoming roads that is faster than the road's cells' waves. The junction
+    solves come first; then one pass per group finishes the group.
 
-    Returns each member's dt; the (mass flux, momentum flux, w) of each
-    member at each junction road end, as ``_junction_edges`` gives them; and
-    the edge fluxes (mass, momentum) per road, one row per member: views of
-    its group's (B, G, n + 1) work arrays at its slot, valid only until the
-    next ``step`` on this batch. A non-finite state and a junction's
-    SolverFailure carry the member's ``row``.
+    Returns each member's dt; the (mass flux, momentum flux, w) of each member at each
+    junction road end, as ``_junction_edges`` gives them; and the (mass flux, momentum
+    flux) of each member at each end of ``Network.external_ends``, in its order, shape
+    (members, ends, 2). A non-finite state and a junction's SolverFailure carry the
+    member's ``row``.
     """
     # cfl <= 1 (SimConfig) keeps dt within dx / speed on every road
     dt = np.minimum(stable_dt(batch, cfg.cfl, _checked_cells(batch)), t_left)
-
-    # every edge as a 1-to-1 interface; junction edges are overwritten below
-    edge = []
-    for rows in batch.groups:
+    # the junction solves: a scalar loop over the members, which may cut dt
+    junction_edges, dt = _junction_edges(batch, dt, cfg.cfl)
+    external = np.empty((len(dt), len(batch.external_ends), 2))
+    for g, rows in enumerate(batch.groups):
         work = rows.work
         work.rho[..., 0], work.rho[..., 1:] = rows.ghosts[..., 0], rows.rho
         fm, fy = jn.demand_supply(rows.road.params, work.rho, work.p, work.w, work.v,
                                   (work.mass, work.momentum, *work.scratch, work.mask))
         np.minimum(fm, fy, out=fm)
-        edge.append((fm, np.multiply(work.w, fm, out=fy)))
-
-    # the junction solves: a scalar loop over the members, which may cut dt
-    junction_edges, dt = _junction_edges(batch, dt, cfg.cfl)
-    for k, (g, s, idx) in enumerate(batch.junction_ends):
-        fm, fy = edge[g]
-        fm[:, s, idx], fy[:, s, idx] = junction_edges[:, k, 0], junction_edges[:, k, 1]
-
-    for rows, (fm, fy) in zip(batch.groups, edge):
+        np.multiply(work.w, fm, out=fy)
+        for k, (gk, s, idx) in enumerate(batch.junction_ends):
+            if gk == g:
+                fm[:, s, idx], fy[:, s, idx] = junction_edges[:, k, 0], junction_edges[:, k, 1]
+        for e, (ge, s, idx) in enumerate(batch.external_ends):
+            if ge == g:
+                external[:, e, 0], external[:, e, 1] = fm[:, s, idx], fy[:, s, idx]
         lam = (dt / rows.road.dx)[:, None, None]
-        diff = rows.work.scratch[0][..., 1:]
+        diff = work.scratch[0][..., 1:]
         for u, f in ((rows.rho, fm), (rows.y, fy)):
             u -= np.multiply(np.subtract(f[..., 1:], f[..., :-1], out=diff), lam, out=diff)
             np.maximum(u, 0.0, out=u)
-    return dt, junction_edges, {rid: (edge[g][0][:, s], edge[g][1][:, s])
-                                for rid, (g, s) in batch.where.items()}
+    return dt, junction_edges, external
 
 
 def _at(exc: Exception, member: int, steps: int, t) -> Exception:
@@ -521,18 +521,17 @@ def run_batch(networks: list[Network], cfg: SimConfig) -> list[SimResult]:
     steps = 0
     while True:
         try:
-            dt, jfs, edge = step(batch, cfg, cfg.t_end - t)
+            dt, jfs, external = step(batch, cfg, cfg.t_end - t)
         except SolverFailure as exc:
             raise _at(exc, members[exc.row], steps, t[exc.row])
         if not steps:
             # per member, (t, the junction fluxes that advanced it to t): step 1 solves the
             # initial data's, the t = 0 record. Plain lists: a record pins no step's array
             records = [[(0.0, jf)] for jf in jfs.tolist()]
-        for rid, idx in batch.net.external_ends:
-            fm, fy = edge[rid]
+        for e, (_, idx) in enumerate(batch.net.external_ends):
             k = 0 if idx == 0 else 1
-            flows[k] += dt * fm[:, idx]
-            flows[k + 2] += dt * fy[:, idx]
+            flows[k] += dt * external[:, e, 0]
+            flows[k + 2] += dt * external[:, e, 1]
         t += dt
         steps += 1
         if jfs.shape[1]:

@@ -4,8 +4,9 @@
 in one call of ``junction.demand_supply``. Each edge must carry the flux of
 ``sim.interface_flux`` and of ``junction.solve`` (1-to-1) on the states on
 either side of it: the frozen ghosts at the ends, the cells in between.
-The kernels write into the group's work arrays; their bits must be those of
-the same formulas with one new array per operation.
+The kernels write into the group's work arrays, and a road alone in its
+shape's group keeps its fluxes there after the step; their bits must be those
+of the same formulas with one new array per operation.
 """
 
 import numpy as np
@@ -68,8 +69,9 @@ def test_vector_edges_match_scalar_flux(case):
                             ghost_left=g_left, ghost_right=g_right)
     states = [fd.from_conservative(p, float(a), float(b)) for a, b in zip(r.rho, r.y)]
     batch = sim.batch_of([sim.Network({"r": r})])
-    _, _, edge = sim.step(batch, sim.SimConfig(), np.zeros(1))  # dt = 0: only the fluxes
-    fm, fy = (f[0] for f in edge["r"])  # the one member's row
+    sim.step(batch, sim.SimConfig(), np.zeros(1))  # dt = 0: only the fluxes
+    work = batch.groups[0].work  # the one group's flux arrays hold the step's fluxes
+    fm, fy = work.mass[0, 0], work.momentum[0, 0]
     atol = ATOL * p.rho_max * p.v_ref
     for i, (left, right) in enumerate(zip([g_left, *states], [*states, g_right])):
         q, mom = sim.interface_flux((p, left), (p, right))
@@ -110,9 +112,10 @@ def test_work_arrays_hold_the_bits_of_the_allocating_formulas(case):
     r = sim.DiscretizedRoad("r", p, 1.0, len(cells), rho.copy(), y.copy(),
                             ghost_left=g_left, ghost_right=g_right)
     batch = sim.batch_of([sim.Network({"r": r})])
-    _, _, edge = sim.step(batch, sim.SimConfig(), np.zeros(1))  # dt = 0: only the fluxes
+    sim.step(batch, sim.SimConfig(), np.zeros(1))  # dt = 0: only the fluxes
     rows = batch.groups[0]
-    got = rows.work.p[0, 0], rows.work.w[0, 0], rows.work.v[0, 0], *(f[0] for f in edge["r"])
+    got = (rows.work.p[0, 0], rows.work.w[0, 0], rows.work.v[0, 0],
+           rows.work.mass[0, 0], rows.work.momentum[0, 0])
     want = allocating_edges(p, rho, y, rows.ghosts[0, 0])
     for name, g, w in zip(("p", "w", "v", "mass flux", "momentum flux"), got, want):
         assert g.tobytes() == w.tobytes(), name
