@@ -3,15 +3,16 @@
 Interior interface fluxes are 1-to-1 junction solves with identical road
 parameters (demand/supply with the attribute advected downstream); node fluxes
 come from the junction Riemann solvers evaluated on the adjacent boundary cells.
-External road ends use ghost cells frozen at the initial far-field state.
+External road ends use ghost cells frozen at the initial far-field state. Every
+edge reads a cell as (p(rho), w = y / rho, v) and a ghost as ``fd.attribute`` does.
 
 Each step evaluates p(rho), w, v and the max wave speed once per group of roads
 (``_cells``), takes dt from the speeds and solves the junctions from the end
 cells. Then one pass per group computes every edge flux, writes the junction
 fluxes over its junction ends and updates its cells. A group's work arrays are
-made with its batch and written over by every step, so no step allocates an
-array as long as a road. A group owns only p, w and v, which live from
-``_cells`` to its pass; the groups of one shape share the rest.
+made, with their ghost entries, by its batch, and every step writes over their
+cells, so no step allocates an array as long as a road. A group owns only p, w
+and v; the groups of one shape share the rest.
 
 The time loop (``run_batch``) steps networks of one topology as one batch,
 and each member keeps its own clock. ``run`` is its one-member case. Roads
@@ -217,12 +218,13 @@ class _Work(NamedTuple):
     ``p = p(rho)``, ``w`` and ``rho`` are those of the left state of each
     edge: the frozen left ghost, then cells 0..n-1. ``v`` is the right speed
     of each edge: cells 0..n-1, then the frozen right ghost. The group owns
-    the first three, which hold values from ``_cells`` to its pass of
-    ``step``; the rest die within a call of ``_cells`` or a group's pass, and
-    the groups of one shape share them.
+    the first three. Their ghost entries (p and w at edge 0, v at edge n) are
+    written once, by the ``Batch``; their cell entries hold values from
+    ``_cells`` to the group's pass of ``step``. The rest die within a call of
+    ``_cells`` or a group's pass, and the groups of one shape share them.
     """
 
-    p: np.ndarray         # p, w and v: written by ``_cells``
+    p: np.ndarray         # p, w and v: cell entries written by ``_cells``
     w: np.ndarray
     v: np.ndarray
     mass: np.ndarray      # the demand, then the mass flux
@@ -241,8 +243,8 @@ class RoadRows:
     is member b's road ``ids[s]``; a group of one road is the ordinary case.
 
     ``ghosts`` holds each road's frozen far-field data in four columns: the
-    left ghost's density, p(rho) and w, then the right ghost's speed. Its
-    ``Batch`` gives it ``work``, so that no step allocates an array as long as a road.
+    left ghost's density, p(rho) and w = v + p(rho), then the right ghost's speed.
+    Its ``Batch`` gives it ``work`` and writes the last three into its ghost entries.
     """
 
     road: DiscretizedRoad   # the first member's road ids[0]: parameters, cells and dx
@@ -255,8 +257,7 @@ class RoadRows:
 
 def _ghost_columns(road: DiscretizedRoad) -> tuple[float, float, float, float]:
     g = road.ghost_left
-    p = fd._pressure(road.params, g.rho)
-    return g.rho, p, g.v + p if g.rho >= fd.VACUUM_RHO else g.v, road.ghost_right.v
+    return g.rho, fd._pressure(road.params, g.rho), fd.attribute(road.params, g), road.ghost_right.v
 
 
 @dataclass
@@ -284,7 +285,9 @@ class Batch:
             if shape not in shared:
                 arrays = [np.empty(shape) for _ in range(6)]
                 shared[shape] = (*arrays[:3], tuple(arrays[3:]), np.empty(shape, dtype=bool))
-            rows.work = _Work(*(np.empty(shape) for _ in range(3)), *shared[shape])
+            work = rows.work = _Work(*(np.empty(shape) for _ in range(3)), *shared[shape])
+            # the ghost entries, which no step writes
+            work.p[..., 0], work.w[..., 0], work.v[..., -1] = np.moveaxis(rows.ghosts[..., 1:], 2, 0)
 
     def take(self, rows) -> Batch:
         """The batch of the members selected by ``rows``, as copies, with new work arrays."""
@@ -334,12 +337,10 @@ def batch_of(networks: list[Network]) -> Batch:
 
 
 def _cells(rows: RoadRows) -> np.ndarray:
-    """Evaluate p(rho), w and v of a group once into its work arrays, for the CFL bound and
-    the fluxes, and return the max wave speed over the cells per member and road: (B, G)."""
-    par, n, rho, work = rows.road.params, rows.road.cells, rows.rho, rows.work
-    p, w, v = work.p, work.w, work.v
-    p[..., 0], w[..., 0], v[..., n] = rows.ghosts[..., 1], rows.ghosts[..., 2], rows.ghosts[..., 3]
-    p_c, w_c, v_c = p[..., 1:], w[..., 1:], v[..., :-1]
+    """Evaluate p(rho), w = y / rho and v of a group's cells once into its work arrays, for
+    the CFL bound and the fluxes, and return the max wave speed per member and road: (B, G)."""
+    par, rho, work = rows.road.params, rows.rho, rows.work
+    p_c, w_c, v_c = work.p[..., 1:], work.w[..., 1:], work.v[..., :-1]
     fd._pressure(par, rho, out=p_c)
     # vacuum convention: w = v = v_ref
     vac = np.less(rho, fd.VACUUM_RHO, out=work.mask[..., 1:])
@@ -350,8 +351,6 @@ def _cells(rows: RoadRows) -> np.ndarray:
         w_c[vac] = v_c[vac] = par.v_ref
     lam1 = np.multiply(p_c, 1.0 + par.gamma, out=work.scratch[0][..., 1:])
     np.abs(np.subtract(w_c, lam1, out=lam1), out=lam1)
-    # the last edge's left state as at an external end: w = v + p(rho), not y / rho
-    w[..., n] = np.where(rho[..., -1] >= fd.VACUUM_RHO, v[..., n - 1] + p[..., n], v[..., n - 1])
     return np.maximum(np.maximum(lam1.max(axis=2), v_c.max(axis=2)), par.v_ref)
 
 
